@@ -4,7 +4,9 @@ Room nodes carry the whole signal (flattened partial heatmaps, counts, and
 for the ontology variant an affinity-mixed copy of the heatmaps); all other
 nodes get zero features, so room-to-room information flows through the
 building node during message passing. Loss is computed on room rows only,
-against the raw network output.
+against the raw network output. The network is therefore fed the room
+rows' features alone and asked for the room rows' outputs alone
+(`nn.forward`'s `rows`); every node still takes part in message passing.
 """
 from __future__ import annotations
 
@@ -86,15 +88,18 @@ def encode_inputs(sample: BsgSample, model: CompositionModel) -> EncodedSample:
             mixed = np.einsum("ij,jxy->ixy", model.affinity.matrix, heat.data[ri])
             blocks.append(mixed.ravel())
         x[index[room_id]] = np.concatenate(blocks)
-    room_rows = np.array([index[rid] for rid in heat.room_ids])
+    room_rows = np.array([index[rid] for rid in heat.room_ids], dtype=np.intp)
     target = sample.target_heatmaps.data.reshape(len(heat.room_ids), -1)
     return EncodedSample(a_hat, x, room_rows, heat.room_ids, target, sample)
 
 
 def raw_outputs(model: CompositionModel, enc: EncodedSample) -> np.ndarray:
     """Eval-mode network output for the room rows, before post-processing."""
-    out, _ = nn.forward(enc.a_hat, enc.x, model.params, model.stats, model.config)
-    return out[enc.room_rows]
+    out, _ = nn.forward(
+        enc.a_hat, enc.x[enc.room_rows], model.params, model.stats, model.config,
+        rows=enc.room_rows,
+    )
+    return out
 
 
 def postprocess(
@@ -150,9 +155,14 @@ class TrainConfig:
 
 
 def _batch(encoded: list[EncodedSample]):
-    """Stack several graphs into one block-diagonal message-passing problem."""
+    """Stack several graphs into one block-diagonal message-passing problem.
+
+    Returns (adjacency over every node, room-row features, room-row indices
+    into the adjacency, room-row targets); the features and targets are in
+    the order of the indices.
+    """
     a = sp.block_diag([e.a_hat for e in encoded], format="csr")
-    x = np.vstack([e.x for e in encoded])
+    x = np.vstack([e.x[e.room_rows] for e in encoded])
     rows = []
     offset = 0
     for e in encoded:
@@ -162,19 +172,12 @@ def _batch(encoded: list[EncodedSample]):
     return a, x, np.concatenate(rows), target
 
 
-def _room_loss(out: np.ndarray, rows: np.ndarray, target: np.ndarray):
-    loss, d_sel = nn.mse_loss(out[rows], target)
-    d_out = np.zeros_like(out)
-    d_out[rows] = d_sel
-    return loss, d_out
-
-
 def validation_loss(model: CompositionModel, encoded: list[EncodedSample]) -> float:
     if not encoded:
         return float("nan")
     a, x, rows, target = _batch(encoded)
-    out, _ = nn.forward(a, x, model.params, model.stats, model.config)
-    return nn.mse_loss(out[rows], target)[0]
+    out, _ = nn.forward(a, x, model.params, model.stats, model.config, rows=rows)
+    return nn.mse_loss(out, target)[0]
 
 
 def train(
@@ -209,10 +212,10 @@ def train(
             a, x, rows, target = _batch(batch)
             out, cache = nn.forward(
                 a, x, model.params, model.stats, model.config,
-                train=True, dropout_rng=dropout_rng,
+                train=True, dropout_rng=dropout_rng, rows=rows,
             )
-            loss, d_out = _room_loss(out, rows, target)
-            grads, _ = nn.backward(d_out, model.params, cache, model.config)
+            loss, d_out = nn.mse_loss(out, target)
+            grads = nn.backward(d_out, model.params, cache, model.config)
             nn.adam_step(model.params, grads, adam, cfg.lr, cfg.lr_decay)
             epoch_losses.append(loss)
         val = validation_loss(model, enc_val) if enc_val else None

@@ -1,11 +1,18 @@
 """Deterministic numeric core: graph convolution stack with manual gradients.
 
 The network is a fixed stack of graph-convolutional layers (feature
-propagation through a normalized adjacency, then an affine map), each hidden
+propagation through a normalized adjacency, then a linear map), each hidden
 layer followed by batch normalization, ReLU, and inverted dropout; the final
-layer is plain affine. Everything runs in float64 and all randomness flows
-from explicit seeds, so two equal-seed runs produce bitwise-equal parameter
-trajectories.
+layer is plain affine. Hidden layers carry no bias, since batch norm would
+cancel it. Everything runs in float64 and all randomness flows from explicit
+seeds, so two equal-seed runs produce bitwise-equal parameter trajectories.
+
+Only some rows of the input are non-zero and only some rows of the output
+are read (the room nodes, in `scenecomp.model`). `forward` takes those rows
+and computes just what they need. The first layer multiplies the non-zero
+rows by its weights before propagating them, as Kipf & Welling (2017)
+suggest for sparse features, and the last layer propagates into the read
+rows only. `backward` never forms the gradient w.r.t. the input features.
 """
 from __future__ import annotations
 
@@ -16,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NonFiniteError, ShapeMismatchError
+from .errors import ConfigMismatchError, NonFiniteError, ShapeMismatchError
 from .graphs import SceneGraph
 
 BN_EPS = 1e-5
@@ -51,23 +58,51 @@ class ModelConfig:
         return list(zip(widths[:-1], widths[1:]))
 
 
+def _has_bn(config: ModelConfig, l: int) -> bool:
+    """Whether batch norm (and ReLU and dropout) follow layer l."""
+    return l < config.n_layers - 1 and not config.linear_only
+
+
+def param_shapes(config: ModelConfig):
+    """Names and shapes of the trainable parameters and the batch-norm stats.
+
+    A layer followed by train-mode batch norm has no bias: batch norm
+    subtracts the batch mean, which cancels any bias exactly (its gradient
+    is identically zero), and beta takes its role. Returns (params, stats).
+    """
+    params: dict[str, tuple[int, ...]] = {}
+    stats: dict[str, tuple[int, ...]] = {}
+    for l, (d_in, d_out) in enumerate(config.layer_widths()):
+        params[f"w{l}"] = (d_in, d_out)
+        if _has_bn(config, l):
+            params[f"gamma{l}"] = params[f"beta{l}"] = (d_out,)
+            stats[f"mean{l}"] = stats[f"var{l}"] = (d_out,)
+        else:
+            params[f"b{l}"] = (d_out,)
+    return params, stats
+
+
 def init_params(config: ModelConfig, seed: int = 0):
     """Fan-scaled uniform weights, zero biases, identity batch-norm.
 
-    Returns (params, stats): trainable arrays and batch-norm running stats.
+    Returns (params, stats): trainable arrays and batch-norm running stats,
+    named and shaped as `param_shapes` says.
     """
     rng = np.random.default_rng(seed)
+    shapes, stat_shapes = param_shapes(config)
     params: dict[str, np.ndarray] = {}
-    stats: dict[str, np.ndarray] = {}
-    for l, (d_in, d_out) in enumerate(config.layer_widths()):
-        limit = math.sqrt(6.0 / (d_in + d_out))
-        params[f"w{l}"] = rng.uniform(-limit, limit, size=(d_in, d_out))
-        params[f"b{l}"] = np.zeros(d_out)
-        if l < config.n_layers - 1 and not config.linear_only:
-            params[f"gamma{l}"] = np.ones(d_out)
-            params[f"beta{l}"] = np.zeros(d_out)
-            stats[f"mean{l}"] = np.zeros(d_out)
-            stats[f"var{l}"] = np.ones(d_out)
+    for name, shape in shapes.items():
+        if name.startswith("w"):
+            limit = math.sqrt(6.0 / sum(shape))
+            params[name] = rng.uniform(-limit, limit, size=shape)
+        elif name.startswith("gamma"):
+            params[name] = np.ones(shape)
+        else:
+            params[name] = np.zeros(shape)
+    stats = {
+        name: np.ones(shape) if name.startswith("var") else np.zeros(shape)
+        for name, shape in stat_shapes.items()
+    }
     return params, stats
 
 
@@ -108,8 +143,17 @@ def forward(
     config: ModelConfig,
     train: bool = False,
     dropout_rng: np.random.Generator | None = None,
+    rows: np.ndarray | None = None,
 ):
     """Run the layer stack; returns (output, cache) where cache feeds backward.
+
+    rows, when given, says that x holds the features of these node rows
+    only (every other node's features are zero) and asks for these rows of
+    the output only. Layer 0 then propagates from those rows alone,
+    a_hat[:, rows] @ (x @ w0), and the last layer computes only
+    a_hat[rows] @ h @ w + b. Hidden layers run over every node, so batch
+    statistics and dropout masks do not depend on rows. rows=None means
+    every node.
 
     In train mode batch norm uses batch statistics (updating the running
     stats in place) and dropout is applied when a dropout_rng is given.
@@ -118,14 +162,23 @@ def forward(
         raise ShapeMismatchError(
             f"feature width {x.shape[1]} != expected {config.input_width}"
         )
+    sel = slice(None) if rows is None else rows
     h = x
-    cache = {"x": x, "a_hat": a_hat, "layers": []}
+    cache = {"x": x, "layers": []}
     for l in range(config.n_layers):
-        m = a_hat @ h
-        z = m @ params[f"w{l}"] + params[f"b{l}"]
-        layer = {"m": m}
-        last = l == config.n_layers - 1
-        if last or config.linear_only:
+        a = a_hat
+        if l == config.n_layers - 1:
+            a = a[sel]
+        layer = {}
+        if l == 0:
+            a = a[:, sel]
+            z = a @ (h @ params["w0"])
+        else:
+            layer["m"] = a @ h
+            z = layer["m"] @ params[f"w{l}"]
+        layer["a"] = a
+        if not _has_bn(config, l):
+            z += params[f"b{l}"]
             h = z
         else:
             if train:
@@ -154,19 +207,20 @@ def forward(
     return h, cache
 
 
-def backward(d_out: np.ndarray, params: dict, cache: dict, config: ModelConfig):
+def backward(d_out: np.ndarray, params: dict, cache: dict, config: ModelConfig) -> dict:
     """Gradients of a scalar loss w.r.t. every trainable parameter.
 
-    d_out is the loss gradient at the network output; returns (grads, d_x).
+    d_out is the loss gradient at the rows forward returned. The gradient
+    w.r.t. the input features is not formed: layer 0's weight gradient is
+    x.T @ (a.T @ d_z), which needs only the rows forward propagated from.
     """
-    a_hat = cache["a_hat"]
     grads = {}
     d_h = d_out
     for l in reversed(range(config.n_layers)):
         layer = cache["layers"][l]
-        last = l == config.n_layers - 1
-        if last or config.linear_only:
+        if not _has_bn(config, l):
             d_z = d_h
+            grads[f"b{l}"] = d_z.sum(axis=0)
         else:
             if "dropout_keep" in layer:
                 d_h = d_h * layer["dropout_keep"] / (1.0 - config.dropout)
@@ -188,13 +242,14 @@ def backward(d_out: np.ndarray, params: dict, cache: dict, config: ModelConfig):
                 )
             else:
                 d_z = d_xhat * layer["invstd"]
-        m = layer["m"]
-        grads[f"w{l}"] = m.T @ d_z
-        grads[f"b{l}"] = d_z.sum(axis=0)
-        d_m = d_z @ params[f"w{l}"].T
-        d_h = a_hat.T @ d_m  # a_hat is symmetric
-        _check_finite(f"backward layer {l}", d_h)
-    return grads, d_h
+        _check_finite(f"backward layer {l}", d_z)
+        a = layer["a"]
+        if l == 0:
+            grads["w0"] = cache["x"].T @ (a.T @ d_z)
+        else:
+            grads[f"w{l}"] = layer["m"].T @ d_z
+            d_h = a.T @ (d_z @ params[f"w{l}"].T)
+    return grads
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray):
@@ -214,6 +269,8 @@ class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: int = 0
+    # two work arrays per parameter, so a step allocates nothing
+    scratch: dict = field(default_factory=dict)
 
 
 def adam_step(
@@ -226,7 +283,14 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """In-place Adam update; effective lr decays as lr / (1 + decay * t)."""
+    """In-place Adam update; effective lr decays as lr / (1 + decay * t).
+
+    Evaluates, operation by operation and in the same order,
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        p -= lr_t * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+    writing every intermediate into m, v, p or the state's scratch arrays.
+    """
     state.t += 1
     t = state.t
     lr_t = lr / (1.0 + decay * t)
@@ -234,11 +298,23 @@ def adam_step(
         if name not in state.m:
             state.m[name] = np.zeros_like(g)
             state.v[name] = np.zeros_like(g)
-        state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
-        m_hat = state.m[name] / (1 - beta1 ** t)
-        v_hat = state.v[name] / (1 - beta2 ** t)
-        params[name] -= lr_t * m_hat / (np.sqrt(v_hat) + eps)
+            state.scratch[name] = (np.empty_like(g), np.empty_like(g))
+        m, v, p = state.m[name], state.v[name], params[name]
+        s1, s2 = state.scratch[name]
+        np.multiply(m, beta1, out=m)
+        np.multiply(g, 1 - beta1, out=s1)
+        np.add(m, s1, out=m)
+        np.multiply(v, beta2, out=v)
+        np.multiply(g, 1 - beta2, out=s1)
+        np.multiply(s1, g, out=s1)
+        np.add(v, s1, out=v)
+        np.divide(m, 1 - beta1 ** t, out=s1)
+        np.multiply(s1, lr_t, out=s1)
+        np.divide(v, 1 - beta2 ** t, out=s2)
+        np.sqrt(s2, out=s2)
+        np.add(s2, eps, out=s2)
+        np.divide(s1, s2, out=s1)
+        np.subtract(p, s1, out=p)
 
 
 # --- gradient checking ----------------------------------------------------
@@ -281,7 +357,7 @@ def grad_check(config: ModelConfig, seed: int = 0, h: float = 1e-5, n_nodes: int
         return loss, d_out, cache
 
     loss, d_out, cache = loss_fn()
-    grads, _ = backward(d_out, params, cache, config)
+    grads = backward(d_out, params, cache, config)
 
     max_rel = 0.0
     for name, p in params.items():
@@ -336,16 +412,41 @@ def save_checkpoint(
         json.dump(doc, f)
 
 
+def _checked_arrays(section: str, entries: dict, shapes: dict) -> dict:
+    """One checkpoint section's arrays, named and shaped exactly as `shapes`."""
+    unexpected = sorted(set(entries) - set(shapes))
+    missing = sorted(set(shapes) - set(entries))
+    if unexpected or missing:
+        raise ConfigMismatchError(
+            f"checkpoint {section} do not match its config: "
+            f"unexpected {unexpected}, missing {missing}"
+        )
+    arrays = {}
+    for name, shape in shapes.items():
+        data = np.array(entries[name]["data"], dtype=np.float64)
+        if tuple(entries[name]["shape"]) != shape or data.size != math.prod(shape):
+            raise ConfigMismatchError(
+                f"checkpoint {section} entry {name} has shape {entries[name]['shape']} "
+                f"with {data.size} values; its config needs {list(shape)}"
+            )
+        arrays[name] = data.reshape(shape)
+    return arrays
+
+
 def load_checkpoint(path):
+    """Read a checkpoint written by `save_checkpoint`.
+
+    Every parameter and batch-norm stat must carry exactly the names and
+    shapes that the stored config gives (`param_shapes`); anything else
+    raises ConfigMismatchError. Returns (config, params, stats,
+    catalog_hash, adam state or None, extra).
+    """
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     config = ModelConfig(**doc["config"])
-    params = {
-        k: np.array(v["data"]).reshape(v["shape"]) for k, v in doc["params"].items()
-    }
-    stats = {
-        k: np.array(v["data"]).reshape(v["shape"]) for k, v in doc["stats"].items()
-    }
+    shapes, stat_shapes = param_shapes(config)
+    params = _checked_arrays("params", doc["params"], shapes)
+    stats = _checked_arrays("stats", doc["stats"], stat_shapes)
     adam = None
     if "adam" in doc:
         adam = AdamState(t=doc["adam"]["t"])

@@ -20,7 +20,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import requests
 
 from .catalog import ClassCatalog
 from .errors import (
@@ -179,6 +178,9 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _call_endpoint(cfg: EndpointConfig, prompt: str) -> str:
+    import http.client
+    import urllib.request
+
     headers = {"Content-Type": "application/json"}
     if cfg.api_key:
         headers["Authorization"] = f"Bearer {cfg.api_key}"
@@ -187,19 +189,25 @@ def _call_endpoint(cfg: EndpointConfig, prompt: str) -> str:
         "temperature": cfg.temperature,
         "messages": [{"role": "user", "content": prompt}],
     }
+    data = json.dumps(payload).encode("utf-8")
+    attempts = max(1, cfg.max_retries)
     delay = 1.0
     last_err = None
-    for _ in range(max(1, cfg.max_retries)):
-        try:
-            resp = requests.post(cfg.base_url, json=payload, headers=headers, timeout=60)
-            resp.raise_for_status()
-            body = resp.json()
-            return body["choices"][0]["message"]["content"]
-        except (requests.RequestException, KeyError, ValueError) as e:
-            last_err = e
+    for attempt in range(attempts):
+        if attempt:
             time.sleep(delay)
             delay *= 2
-    raise EndpointError(f"endpoint failed after {cfg.max_retries} retries: {last_err}")
+        # OSError covers urllib's URLError and HTTPError and timeouts;
+        # ValueError a malformed URL or body; the rest a body of the wrong form
+        try:
+            request = urllib.request.Request(cfg.base_url, data=data, headers=headers, method="POST")
+            with urllib.request.urlopen(request, timeout=60) as resp:
+                body = json.loads(resp.read())
+            return body["choices"][0]["message"]["content"]
+        except (OSError, http.client.HTTPException, ValueError, KeyError, IndexError,
+                TypeError) as e:
+            last_err = e
+    raise EndpointError(f"endpoint failed after {attempts} attempts: {last_err}")
 
 
 def parse_class_response(text: str, classes: tuple[str, ...]) -> set[str]:

@@ -8,6 +8,7 @@ from scenecomp.cli import main
 from scenecomp.dataset import generate_synthetic_scene, template_by_name
 from scenecomp.graphs import augment, make_belief_graph, rooms_of, save_graph
 from scenecomp.layout import EMPTY, LayoutGrid
+from scenecomp.nn import ModelConfig, init_params, save_checkpoint
 from scenecomp.render import heatmap_to_pgm, layout_to_ppm
 
 
@@ -115,6 +116,20 @@ def test_missing_artifacts_fail_cleanly(tmp_path, capsys):
     assert main(["--config", str(cfg), "eval"]) == 1
     assert main(["--config", str(cfg), "predict", str(tmp_path / "nope.json")]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+def test_predict_rejects_wrong_shape_checkpoint(tmp_path, capsys):
+    # before checkpoints were validated, a (1,)-shaped output bias loaded and
+    # broadcast silently into a wrong prediction
+    cfg = _write_config(tmp_path)
+    config = ModelConfig(n_classes=default_catalog().n, grid_size=8, hidden=8)
+    params, stats = init_params(config)
+    params["b4"] = np.zeros(1)
+    save_checkpoint(tmp_path / "checkpoint.json", config, params, stats, default_catalog().hash())
+    graph = _belief_graph_file(tmp_path)
+    assert main(["--config", str(cfg), "predict", str(graph)]) == 1
+    assert "checkpoint params entry b4 has shape [1]" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "prediction.json").exists()
 
 
 def test_predict_rejects_non_belief_graph(tmp_path, capsys):

@@ -15,7 +15,7 @@ from scenecomp.model import (
     predict,
     train,
 )
-from scenecomp.ontology import ClassAffinity
+from scenecomp.ontology import ClassAffinity, class_affinity, default_ontology
 
 from conftest import simple_graph, toy_samples
 
@@ -144,6 +144,26 @@ def test_train_reduces_loss_and_is_deterministic(small_catalog, toy_template):
     m2, h2 = train(_model(small_catalog, grid_size=8, seed=1), samples, None, tc)
     assert h1 == h2  # bitwise-identical loss history
     assert h1[-1]["train"] < h1[0]["train"]
+
+
+def test_train_base_ont_with_dropout_is_bitwise_deterministic(catalog):
+    # the benchmark's variant: ontology features, dropout on, a validation set
+    samples = [_sample(catalog)] + [
+        make_sample(simple_graph(catalog, (2, 3, 1)), 0.25, 8, seed=s) for s in (3, 4)
+    ]
+    cfg = nn.ModelConfig(variant=BASE_ONT, n_classes=catalog.n, grid_size=8, hidden=16, dropout=0.2)
+    affinity = class_affinity(default_ontology())
+    tc = TrainConfig(epochs=3, batch_size=2, lr=1e-3, seed=5)
+    runs = [
+        train(new_model(cfg, catalog.hash(), 1, affinity), samples[:2], samples[2:], tc)
+        for _ in range(2)
+    ]
+    (m1, h1), (m2, h2) = runs
+    assert h1 == h2
+    for a, b in ((m1.params, m2.params), (m1.stats, m2.stats)):
+        assert a.keys() == b.keys()
+        for k in a:
+            assert np.array_equal(a[k], b[k]), k
 
 
 def test_train_keeps_best_validation(small_catalog, toy_template):

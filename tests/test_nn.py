@@ -1,8 +1,11 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from scenecomp import nn
-from scenecomp.errors import NonFiniteError, ShapeMismatchError
+from scenecomp.errors import ConfigMismatchError, NonFiniteError, ShapeMismatchError
 from scenecomp.graphs import (
     BUILDING,
     GROUND_TRUTH,
@@ -52,7 +55,6 @@ def test_forward_bias_only():
     params, stats = nn.init_params(cfg, seed=0)
     for l in range(cfg.n_layers):
         params[f"w{l}"][:] = 0.0
-        params[f"b{l}"][:] = 0.0
     params[f"b{cfg.n_layers - 1}"][:] = 3.25
     x = np.zeros((4, cfg.input_width))
     out, _ = nn.forward(np.eye(4), x, params, stats, cfg)
@@ -70,7 +72,7 @@ def test_eval_equals_train_without_dropout_and_fixed_stats():
     stats2 = {k: v.copy() for k, v in stats.items()}
     h = x
     for l in range(cfg.n_layers - 1):
-        z = a @ h @ params[f"w{l}"] + params[f"b{l}"]
+        z = a @ h @ params[f"w{l}"]
         stats2[f"mean{l}"] = z.mean(axis=0)
         stats2[f"var{l}"] = z.var(axis=0)
         xhat = (z - stats2[f"mean{l}"]) / np.sqrt(stats2[f"var{l}"] + nn.BN_EPS)
@@ -111,7 +113,7 @@ def test_backward_zero_at_minimum():
     x = rng.normal(size=(4, cfg.input_width))
     out, cache = nn.forward(np.eye(4), x, params, stats, cfg)
     loss, d_out = nn.mse_loss(out, out.copy())
-    grads, _ = nn.backward(d_out, params, cache, cfg)
+    grads = nn.backward(d_out, params, cache, cfg)
     assert loss == 0.0
     for g in grads.values():
         np.testing.assert_allclose(g, 0.0)
@@ -124,7 +126,7 @@ def test_relu_blocks_gradient():
     x = np.random.default_rng(9).normal(size=(3, cfg.input_width))
     out, cache = nn.forward(np.eye(3), x, params, stats, cfg, train=True)
     _, d_out = nn.mse_loss(out, out + 1.0)
-    grads, _ = nn.backward(d_out, params, cache, cfg)
+    grads = nn.backward(d_out, params, cache, cfg)
     np.testing.assert_allclose(grads["w0"], 0.0)
     np.testing.assert_allclose(grads["gamma0"], 0.0)
 
@@ -162,7 +164,7 @@ def test_batchnorm_standardizes():
     params, stats = nn.init_params(cfg, seed=10)
     rng = np.random.default_rng(11)
     x = rng.normal(size=(64, cfg.input_width))
-    m = np.eye(64) @ x @ params["w0"] + params["b0"]
+    m = np.eye(64) @ x @ params["w0"]
     invstd = 1.0 / np.sqrt(m.var(axis=0) + nn.BN_EPS)
     xhat = (m - m.mean(axis=0)) * invstd
     assert np.allclose(xhat.mean(axis=0), 0.0, atol=1e-6)
@@ -233,3 +235,25 @@ def test_checkpoint_round_trip(tmp_path):
         np.testing.assert_array_equal(params[k], params2[k])
     for k in stats:
         np.testing.assert_array_equal(stats[k], stats2[k])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # a checkpoint written while hidden layers still had biases
+        (lambda doc: doc["params"].update(b0={"shape": [8], "data": [0.0] * 8}), "unexpected ['b0']"),
+        (lambda doc: doc["stats"].pop("var2"), "missing ['var2']"),
+        (lambda doc: doc["params"].update(b4={"shape": [1], "data": [0.5]}), "b4 has shape [1]"),
+        (lambda doc: doc["params"]["w1"].update(data=[0.0] * 3), "w1 has shape [8, 8] with 3 values"),
+    ],
+)
+def test_checkpoint_rejects_names_and_shapes_its_config_lacks(tmp_path, edit, message):
+    cfg = _config()
+    params, stats = nn.init_params(cfg, seed=17)
+    path = tmp_path / "ckpt.json"
+    nn.save_checkpoint(path, cfg, params, stats, "hash123")
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigMismatchError, match=re.escape(message)):
+        nn.load_checkpoint(path)

@@ -1,0 +1,280 @@
+"""Parity of the room-row network with the dense network it replaced.
+
+`dense_forward`, `dense_backward` and `dense_adam_step` below are the
+dense implementations kept verbatim as the reference. They propagate
+every node's features, return every node's output, form the
+input-feature gradient, give every layer a bias and allocate fresh arrays
+in Adam. The reference runs with zero hidden biases, which is what
+`init_params` used to create and what the room-row network no longer has.
+"""
+import numpy as np
+import pytest
+
+from scenecomp import nn
+from scenecomp.catalog import default_catalog
+from scenecomp.dataset import default_templates, generate_synthetic_scene, make_sample
+from scenecomp.errors import ShapeMismatchError
+from scenecomp.graphs import augment
+from scenecomp.model import BASE, BASE_ONT, _batch, encode_inputs, new_model
+from scenecomp.nn import BN_EPS, AdamState, ModelConfig, _check_finite
+from scenecomp.ontology import class_affinity, default_ontology
+
+# --- reference: the dense network, verbatim --------------------------------
+
+
+def dense_forward(
+    a_hat,
+    x: np.ndarray,
+    params: dict,
+    stats: dict,
+    config: ModelConfig,
+    train: bool = False,
+    dropout_rng: np.random.Generator | None = None,
+):
+    """Run the layer stack; returns (output, cache) where cache feeds backward.
+
+    In train mode batch norm uses batch statistics (updating the running
+    stats in place) and dropout is applied when a dropout_rng is given.
+    """
+    if x.shape[1] != config.input_width:
+        raise ShapeMismatchError(
+            f"feature width {x.shape[1]} != expected {config.input_width}"
+        )
+    h = x
+    cache = {"x": x, "a_hat": a_hat, "layers": []}
+    for l in range(config.n_layers):
+        m = a_hat @ h
+        z = m @ params[f"w{l}"] + params[f"b{l}"]
+        layer = {"m": m}
+        last = l == config.n_layers - 1
+        if last or config.linear_only:
+            h = z
+        else:
+            if train:
+                mean = z.mean(axis=0)
+                var = z.var(axis=0)
+                mom = config.bn_momentum
+                stats[f"mean{l}"] *= 1 - mom
+                stats[f"mean{l}"] += mom * mean
+                stats[f"var{l}"] *= 1 - mom
+                stats[f"var{l}"] += mom * var
+            else:
+                mean = stats[f"mean{l}"]
+                var = stats[f"var{l}"]
+            invstd = 1.0 / np.sqrt(var + BN_EPS)
+            xhat = (z - mean) * invstd
+            bn = params[f"gamma{l}"] * xhat + params[f"beta{l}"]
+            relu_mask = bn > 0
+            h = bn * relu_mask
+            layer.update(xhat=xhat, invstd=invstd, relu_mask=relu_mask, train_bn=train)
+            if train and config.dropout > 0 and dropout_rng is not None:
+                keep = dropout_rng.random(h.shape) >= config.dropout
+                h = h * keep / (1.0 - config.dropout)
+                layer["dropout_keep"] = keep
+        cache["layers"].append(layer)
+        _check_finite(f"layer {l}", h)
+    return h, cache
+
+
+def dense_backward(d_out: np.ndarray, params: dict, cache: dict, config: ModelConfig):
+    """Gradients of a scalar loss w.r.t. every trainable parameter.
+
+    d_out is the loss gradient at the network output; returns (grads, d_x).
+    """
+    a_hat = cache["a_hat"]
+    grads = {}
+    d_h = d_out
+    for l in reversed(range(config.n_layers)):
+        layer = cache["layers"][l]
+        last = l == config.n_layers - 1
+        if last or config.linear_only:
+            d_z = d_h
+        else:
+            if "dropout_keep" in layer:
+                d_h = d_h * layer["dropout_keep"] / (1.0 - config.dropout)
+            d_bn = d_h * layer["relu_mask"]
+            xhat = layer["xhat"]
+            grads[f"gamma{l}"] = (d_bn * xhat).sum(axis=0)
+            grads[f"beta{l}"] = d_bn.sum(axis=0)
+            d_xhat = d_bn * params[f"gamma{l}"]
+            if layer["train_bn"]:
+                n_rows = xhat.shape[0]
+                d_z = (
+                    layer["invstd"]
+                    / n_rows
+                    * (
+                        n_rows * d_xhat
+                        - d_xhat.sum(axis=0)
+                        - xhat * (d_xhat * xhat).sum(axis=0)
+                    )
+                )
+            else:
+                d_z = d_xhat * layer["invstd"]
+        m = layer["m"]
+        grads[f"w{l}"] = m.T @ d_z
+        grads[f"b{l}"] = d_z.sum(axis=0)
+        d_m = d_z @ params[f"w{l}"].T
+        d_h = a_hat.T @ d_m  # a_hat is symmetric
+        _check_finite(f"backward layer {l}", d_h)
+    return grads, d_h
+
+
+def dense_adam_step(
+    params: dict,
+    grads: dict,
+    state: AdamState,
+    lr: float = 1e-5,
+    decay: float = 1e-8,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
+) -> None:
+    """In-place Adam update; effective lr decays as lr / (1 + decay * t)."""
+    state.t += 1
+    t = state.t
+    lr_t = lr / (1.0 + decay * t)
+    for name, g in grads.items():
+        if name not in state.m:
+            state.m[name] = np.zeros_like(g)
+            state.v[name] = np.zeros_like(g)
+        state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
+        state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
+        m_hat = state.m[name] / (1 - beta1 ** t)
+        v_hat = state.v[name] / (1 - beta2 ** t)
+        params[name] -= lr_t * m_hat / (np.sqrt(v_hat) + eps)
+
+
+# --- parity ----------------------------------------------------------------
+
+GRID = 8
+
+
+def _rel(new, ref) -> float:
+    """Largest absolute difference relative to the reference's largest entry."""
+    scale = np.abs(ref).max()
+    return float(np.abs(new - ref).max() / scale) if scale > 0 else float(np.abs(new).max())
+
+
+def _problem(variant, dropout=0.0, linear_only=False):
+    """A batch of three encoded S=8 scenes and a model with non-trivial
+    batch-norm parameters, running stats and output bias."""
+    catalog = default_catalog()
+    config = ModelConfig(variant=variant, n_classes=catalog.n, grid_size=GRID, hidden=16,
+                         dropout=dropout, linear_only=linear_only)
+    affinity = class_affinity(default_ontology()) if variant == BASE_ONT else None
+    model = new_model(config, catalog.hash(), seed=3, affinity=affinity)
+    rng = np.random.default_rng(4)
+    for name, p in model.params.items():
+        if not name.startswith("w"):
+            p[:] = rng.normal(loc=1.0 if name.startswith("gamma") else 0.0, scale=0.1, size=p.shape)
+    for name, s in model.stats.items():
+        s[:] = rng.uniform(0.5, 1.5, size=s.shape) if name.startswith("var") else rng.normal(size=s.shape)
+    samples = []
+    for seed in range(3):
+        g = generate_synthetic_scene(default_templates(), 3, seed, catalog)
+        samples.append(make_sample(augment(g, 0.25, seed), 0.25, GRID, seed))
+    encoded = [encode_inputs(s, model) for s in samples]
+    a, x_rooms, rows, target = _batch(encoded)
+    x_all = np.vstack([e.x for e in encoded])
+    return model, a, x_all, x_rooms, rows, target
+
+
+def _dense_params(model):
+    """The model's parameters plus the zero hidden biases the dense network has."""
+    params = {k: v.copy() for k, v in model.params.items()}
+    for l, (_, d_out) in enumerate(model.config.layer_widths()):
+        params.setdefault(f"b{l}", np.zeros(d_out))
+    return params
+
+
+def _copy(stats):
+    return {k: v.copy() for k, v in stats.items()}
+
+
+@pytest.mark.parametrize("variant", [BASE, BASE_ONT])
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+def test_room_rows_match_dense(variant, train, dropout):
+    model, a, x_all, x_rooms, rows, target = _problem(variant, dropout)
+    config, params = model.config, model.params
+    dense_params = _dense_params(model)
+
+    stats_ref = _copy(model.stats)
+    out_ref, cache_ref = dense_forward(a, x_all, dense_params, stats_ref, config, train=train,
+                                       dropout_rng=np.random.default_rng(7))
+    stats_new = _copy(model.stats)
+    out, cache = nn.forward(a, x_rooms, params, stats_new, config, train=train,
+                            dropout_rng=np.random.default_rng(7), rows=rows)
+    assert out.shape == (len(rows), config.output_width)
+    assert _rel(out, out_ref[rows]) < 1e-12
+    for k in stats_ref:
+        assert _rel(stats_new[k], stats_ref[k]) < 1e-12
+
+    # the dense loss gradient is zero off the room rows
+    _, d_rows = nn.mse_loss(out_ref[rows], target)
+    d_all = np.zeros_like(out_ref)
+    d_all[rows] = d_rows
+    grads_ref, _ = dense_backward(d_all, dense_params, cache_ref, config)
+    grads = nn.backward(d_rows, params, cache, config)
+    assert set(grads) == set(params)
+    for k in grads:
+        assert _rel(grads[k], grads_ref[k]) < 1e-10, k
+    hidden_biases = set(grads_ref) - set(grads)
+    assert hidden_biases == {f"b{l}" for l in range(config.n_layers - 1)}
+    if train:
+        # batch norm cancels a bias placed before it: its gradient is zero
+        for k in hidden_biases:
+            assert np.abs(grads_ref[k]).max() < 1e-12, k
+
+
+@pytest.mark.parametrize("variant", [BASE, BASE_ONT])
+def test_rows_none_means_every_node(variant):
+    model, a, x_all, x_rooms, rows, target = _problem(variant, dropout=0.2)
+    config, params = model.config, model.params
+    out_all, cache_all = nn.forward(a, x_all, params, _copy(model.stats), config, train=True,
+                                    dropout_rng=np.random.default_rng(8))
+    out, cache = nn.forward(a, x_rooms, params, _copy(model.stats), config, train=True,
+                            dropout_rng=np.random.default_rng(8), rows=rows)
+    assert out_all.shape == (a.shape[0], config.output_width)
+    assert _rel(out, out_all[rows]) < 1e-12
+    _, d_rows = nn.mse_loss(out, target)
+    d_all = np.zeros_like(out_all)
+    d_all[rows] = d_rows
+    grads_all = nn.backward(d_all, params, cache_all, config)
+    grads = nn.backward(d_rows, params, cache, config)
+    for k in grads:
+        assert _rel(grads[k], grads_all[k]) < 1e-10, k
+
+
+def test_linear_only_matches_dense():
+    model, a, x_all, x_rooms, rows, target = _problem(BASE, linear_only=True)
+    config, params = model.config, model.params
+    assert {f"b{l}" for l in range(config.n_layers)} <= set(params)
+    out_ref, cache_ref = dense_forward(a, x_all, params, {}, config)
+    out, cache = nn.forward(a, x_rooms, params, {}, config, rows=rows)
+    assert _rel(out, out_ref[rows]) < 1e-12
+    _, d_rows = nn.mse_loss(out_ref[rows], target)
+    d_all = np.zeros_like(out_ref)
+    d_all[rows] = d_rows
+    grads_ref, _ = dense_backward(d_all, params, cache_ref, config)
+    grads = nn.backward(d_rows, params, cache, config)
+    assert set(grads) == set(grads_ref)
+    for k in grads:
+        assert _rel(grads[k], grads_ref[k]) < 1e-10, k
+
+
+def test_adam_bitwise_equals_dense():
+    rng = np.random.default_rng(9)
+    shapes = {"w0": (40, 7), "b0": (7,), "gamma1": (3,)}
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    params_ref = {k: v.copy() for k, v in params.items()}
+    state, state_ref = AdamState(), AdamState()
+    for _ in range(5):
+        grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+        nn.adam_step(params, grads, state, lr=1e-3, decay=1e-2)
+        dense_adam_step(params_ref, grads, state_ref, lr=1e-3, decay=1e-2)
+    assert state.t == state_ref.t == 5
+    for k in shapes:
+        assert np.array_equal(params[k], params_ref[k])
+        assert np.array_equal(state.m[k], state_ref.m[k])
+        assert np.array_equal(state.v[k], state_ref.v[k])

@@ -1,4 +1,6 @@
+import http.server
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -128,7 +130,50 @@ def test_query_uses_cache(tmp_path, monkeypatch):
 
 
 def test_query_endpoint_failure(tmp_path, monkeypatch):
-    monkeypatch.setattr("scenecomp.ontology.time.sleep", lambda s: None)
-    cfg = EndpointConfig(base_url="http://127.0.0.1:9/v1", model="m", max_retries=2)
+    sleeps = []
+    monkeypatch.setattr("scenecomp.ontology.time.sleep", sleeps.append)
+    cfg = EndpointConfig(base_url="http://127.0.0.1:9/v1", model="m", max_retries=3)
     with pytest.raises(EndpointError):
         query_llm_ontology(cfg, ("kitchen",), ClassCatalog(("bed",)), cache_dir=tmp_path)
+    # back off between attempts, never after the last one
+    assert sleeps == [1.0, 2.0]
+
+
+def test_query_endpoint_success(tmp_path):
+    seen = []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            seen.append((self.path, self.headers["Authorization"], body))
+            reply = json.dumps({"choices": [{"message": {"content": "Bed, lamp"}}]}).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(reply)))
+            self.end_headers()
+            self.wfile.write(reply)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
+        cfg = EndpointConfig(base_url=url, model="m", temperature=0.5, api_key="k")
+        o = query_llm_ontology(cfg, ("bedroom",), ClassCatalog(("bed", "chair", "lamp")),
+                               cache_dir=tmp_path)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    np.testing.assert_array_equal(o.biadjacency, [[1.0, 0.0, 1.0]])
+    (path, auth, body), = seen
+    assert path == "/v1/chat" and auth == "Bearer k"
+    assert body["model"] == "m" and body["temperature"] == 0.5
+    assert body["messages"][0]["content"].startswith("List the object types")
+    # the response was cached: a second query never calls the endpoint
+    query_llm_ontology(cfg, ("bedroom",), ClassCatalog(("bed", "chair", "lamp")), cache_dir=tmp_path)
+    assert len(seen) == 1
