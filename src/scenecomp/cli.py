@@ -10,7 +10,8 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from . import __version__
 from .catalog import default_catalog
 from .dataset import (
+    BsgSample,
     default_templates,
     generate_synthetic_scene,
     heatmaps_from_dict,
@@ -34,7 +36,7 @@ from .errors import (
     SceneCompError,
     UnreadableInputError,
 )
-from .graphs import BELIEF, augment, load_graph
+from .graphs import BELIEF, BLIND, augment, children_of, load_graph
 from .layout import (
     default_threshold,
     extract_layout,
@@ -91,16 +93,24 @@ class RunConfig:
 
     @staticmethod
     def load(path, overrides: dict) -> "RunConfig":
+        hints = typing.get_type_hints(RunConfig)
         values = {}
         if path:
             with open(path, "r", encoding="utf-8") as f:
                 doc = json.load(f)
-            known = {f.name for f in fields(RunConfig)}
-            unknown = set(doc) - known
+            unknown = set(doc) - set(hints)
             if unknown:
                 raise ConfigMismatchError(f"unknown config keys: {sorted(unknown)}")
             values.update(doc)
         values.update({k: v for k, v in overrides.items() if v is not None})
+        for key, value in values.items():
+            allowed = typing.get_args(hints[key]) or (hints[key],)
+            if float in allowed and type(value) is int:
+                value = values[key] = float(value)
+            # an exact type test: bool is a subclass of int
+            if type(value) not in allowed:
+                names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+                raise ConfigMismatchError(f"config key {key} is {value!r}, not {names}")
         return RunConfig(**values)
 
 
@@ -249,8 +259,6 @@ def cmd_eval(cfg: RunConfig) -> None:
 
 
 def cmd_predict(cfg: RunConfig, graph_path) -> None:
-    from .dataset import BsgSample
-
     g = load_graph(_require(graph_path, "graph file"))
     if g.kind != BELIEF:
         raise UnreadableInputError("predict expects a belief graph")
@@ -263,9 +271,6 @@ def cmd_predict(cfg: RunConfig, graph_path) -> None:
     out = out_dir / "prediction.json"
     blind_counts = {}
     for room in heat.room_ids:
-        ri = heat.room_index(room)
-        from .graphs import BLIND, children_of
-
         per_class = {}
         for b in children_of(g, room, BLIND):
             per_class[b.class_index] = per_class.get(b.class_index, 0) + 1

@@ -47,10 +47,6 @@ class BadRatiosError(SceneCompError):
     pass
 
 
-class InfeasiblePlacementError(SceneCompError):
-    pass
-
-
 # ontology
 class CatalogMismatchError(SceneCompError):
     pass

@@ -53,10 +53,6 @@ class SceneNode:
     position: tuple[float, float, float] | None = None
     dimensions: tuple[float, float, float] | None = None
 
-    @property
-    def has_position(self) -> bool:
-        return self.position is not None
-
 
 @dataclass(frozen=True)
 class SceneGraph:
@@ -82,12 +78,6 @@ class SceneGraph:
 
     def nodes_in_layer(self, layer: str) -> list[SceneNode]:
         return [n for n in self.nodes if n.layer == layer]
-
-    def parent_of(self, node_id: int) -> int | None:
-        for parent, child in self.edges:
-            if child == node_id:
-                return parent
-        return None
 
 
 def build_graph(
@@ -230,11 +220,6 @@ def make_belief_graph(
             edges.append((room_id, next_id))
             next_id += 1
     return build_graph(nodes, edges, BELIEF, g.catalog)
-
-
-def with_kind(g: SceneGraph, kind: str) -> SceneGraph:
-    """Re-validate the same nodes/edges under another kind tag."""
-    return build_graph(list(g.nodes), list(g.edges), kind, g.catalog)
 
 
 # --- JSON serialization ---------------------------------------------------

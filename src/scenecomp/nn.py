@@ -18,12 +18,18 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigMismatchError, NonFiniteError, ShapeMismatchError
+from .errors import (
+    ConfigMismatchError,
+    NonFiniteError,
+    ShapeMismatchError,
+    UnreadableInputError,
+)
 from .graphs import SceneGraph
 
 BN_EPS = 1e-5
@@ -298,6 +304,7 @@ def adam_step(
         if name not in state.m:
             state.m[name] = np.zeros_like(g)
             state.v[name] = np.zeros_like(g)
+        if name not in state.scratch:  # a state read from a checkpoint has none
             state.scratch[name] = (np.empty_like(g), np.empty_like(g))
         m, v, p = state.m[name], state.v[name], params[name]
         s1, s2 = state.scratch[name]
@@ -379,7 +386,16 @@ def grad_check(config: ModelConfig, seed: int = 0, h: float = 1e-5, n_nodes: int
 
 # --- checkpoints ----------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# Every member carries this fixed time, so equal checkpoints are equal bytes.
+_ZIP_TIME = (1980, 1, 1, 0, 0, 0)
+_META = "meta.json"
+
+
+def _zip_member(zf: zipfile.ZipFile, name: str, size: int):
+    info = zipfile.ZipInfo(name, date_time=_ZIP_TIME)
+    info.file_size = size  # lets zipfile pick ZIP64 for members over 2 GiB
+    return zf.open(info, "w")
 
 
 def save_checkpoint(
@@ -391,67 +407,128 @@ def save_checkpoint(
     adam: AdamState | None = None,
     extra: dict | None = None,
 ) -> None:
-    doc = {
+    """Write an uncompressed zip to exactly `path`, whatever its extension.
+
+    It holds `meta.json` (version, config, catalog hash, Adam step, extra)
+    and one `.npy` member per array: `params/<name>`, `stats/<name>` and,
+    with `adam`, `adam/m/<name>` and `adam/v/<name>`. The bytes depend only
+    on the arguments; `np.load(path, allow_pickle=False)` opens the file.
+    """
+    meta = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(config),
         "catalog_hash": catalog_hash,
         "grid_size": config.grid_size,
         "variant": config.variant,
-        "params": {k: {"shape": list(v.shape), "data": v.ravel().tolist()} for k, v in params.items()},
-        "stats": {k: {"shape": list(v.shape), "data": v.ravel().tolist()} for k, v in stats.items()},
     }
+    sections = {"params": params, "stats": stats}
     if adam is not None:
-        doc["adam"] = {
-            "t": adam.t,
-            "m": {k: v.ravel().tolist() for k, v in adam.m.items()},
-            "v": {k: v.ravel().tolist() for k, v in adam.v.items()},
-        }
+        meta["adam_t"] = adam.t
+        sections.update({"adam/m": adam.m, "adam/v": adam.v})
     if extra:
-        doc["extra"] = extra
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f)
+        meta["extra"] = extra
+    with zipfile.ZipFile(path, "w") as zf:
+        text = json.dumps(meta).encode("utf-8")
+        with _zip_member(zf, _META, len(text)) as f:
+            f.write(text)
+        for section, arrays in sections.items():
+            for name, a in arrays.items():
+                with _zip_member(zf, f"{section}/{name}.npy", a.nbytes) as f:
+                    np.lib.format.write_array(f, a, allow_pickle=False)
 
 
-def _checked_arrays(section: str, entries: dict, shapes: dict) -> dict:
+def _read_arrays(zf: zipfile.ZipFile) -> dict:
+    sections: dict[str, dict] = {}
+    for member in zf.namelist():
+        if member == _META:
+            continue
+        section, _, name = member.rpartition("/")
+        if not name.endswith(".npy"):
+            raise ValueError(f"unexpected member {member}")
+        with zf.open(member) as f:
+            sections.setdefault(section, {})[name[:-4]] = np.lib.format.read_array(
+                f, allow_pickle=False
+            )
+    return sections
+
+
+def _read_checkpoint(path):
+    """The meta dict and {section: {name: array}} of a version-2 checkpoint.
+
+    The format is told from the content, not the file name. A version-1
+    (one JSON document) or other-version checkpoint raises
+    ConfigMismatchError; a file that cannot be read as a checkpoint raises
+    UnreadableInputError.
+    """
+    with open(path, "rb") as f:
+        is_zip = f.read(4) == b"PK\x03\x04"
+    try:
+        if is_zip:
+            with zipfile.ZipFile(path) as zf:
+                meta = json.loads(zf.read(_META))
+                if meta["version"] == CHECKPOINT_VERSION:
+                    return meta, _read_arrays(zf)
+        else:
+            with open(path, "r", encoding="utf-8") as f:
+                meta = json.load(f)
+        version = meta["version"]
+    # ValueError covers malformed JSON, UTF-8 and .npy data; TypeError a
+    # meta that is not a JSON object
+    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as e:
+        raise UnreadableInputError(f"unreadable checkpoint {path}: {e}") from e
+    raise ConfigMismatchError(
+        f"checkpoint {path} is a {'zip' if is_zip else 'JSON'} file of format "
+        f"version {version!r}; only version {CHECKPOINT_VERSION} zip files can "
+        f"be read: retrain to write one"
+    )
+
+
+def _checked_arrays(section: str, arrays: dict, shapes: dict) -> dict:
     """One checkpoint section's arrays, named and shaped exactly as `shapes`."""
-    unexpected = sorted(set(entries) - set(shapes))
-    missing = sorted(set(shapes) - set(entries))
+    unexpected = sorted(set(arrays) - set(shapes))
+    missing = sorted(set(shapes) - set(arrays))
     if unexpected or missing:
         raise ConfigMismatchError(
             f"checkpoint {section} do not match its config: "
             f"unexpected {unexpected}, missing {missing}"
         )
-    arrays = {}
     for name, shape in shapes.items():
-        data = np.array(entries[name]["data"], dtype=np.float64)
-        if tuple(entries[name]["shape"]) != shape or data.size != math.prod(shape):
+        a = arrays[name]
+        if a.shape != shape or a.dtype != np.float64:
             raise ConfigMismatchError(
-                f"checkpoint {section} entry {name} has shape {entries[name]['shape']} "
-                f"with {data.size} values; its config needs {list(shape)}"
+                f"checkpoint {section} entry {name} has shape {list(a.shape)} "
+                f"of {a.dtype}; its config needs {list(shape)} of float64"
             )
-        arrays[name] = data.reshape(shape)
-    return arrays
+    return {name: arrays[name] for name in shapes}
 
 
 def load_checkpoint(path):
     """Read a checkpoint written by `save_checkpoint`.
 
-    Every parameter and batch-norm stat must carry exactly the names and
-    shapes that the stored config gives (`param_shapes`); anything else
-    raises ConfigMismatchError. Returns (config, params, stats,
-    catalog_hash, adam state or None, extra).
+    Every parameter, batch-norm stat and Adam moment must carry exactly the
+    names and shapes that the stored config gives (`param_shapes`); anything
+    else raises ConfigMismatchError, as does another format version. A file
+    that is not a readable checkpoint raises UnreadableInputError. Returns
+    (config, params, stats, catalog_hash, adam state or None, extra).
     """
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    config = ModelConfig(**doc["config"])
+    meta, sections = _read_checkpoint(path)
+    try:
+        config = ModelConfig(**meta["config"])
+        catalog_hash, adam_t, extra = meta["catalog_hash"], meta.get("adam_t"), meta.get("extra")
+    except (KeyError, TypeError) as e:
+        raise UnreadableInputError(f"unreadable checkpoint {path}: bad meta {e}") from e
     shapes, stat_shapes = param_shapes(config)
-    params = _checked_arrays("params", doc["params"], shapes)
-    stats = _checked_arrays("stats", doc["stats"], stat_shapes)
+    expected = {"params": shapes, "stats": stat_shapes}
+    if adam_t is not None:
+        expected.update({"adam/m": shapes, "adam/v": shapes})
+    unexpected = sorted(set(sections) - set(expected))
+    if unexpected:
+        raise ConfigMismatchError(f"checkpoint has unexpected sections {unexpected}")
+    checked = {
+        section: _checked_arrays(section, sections.get(section, {}), section_shapes)
+        for section, section_shapes in expected.items()
+    }
     adam = None
-    if "adam" in doc:
-        adam = AdamState(t=doc["adam"]["t"])
-        for k, v in doc["adam"]["m"].items():
-            adam.m[k] = np.array(v).reshape(params[k].shape)
-        for k, v in doc["adam"]["v"].items():
-            adam.v[k] = np.array(v).reshape(params[k].shape)
-    return config, params, stats, doc["catalog_hash"], adam, doc.get("extra")
+    if adam_t is not None:
+        adam = AdamState(m=checked["adam/m"], v=checked["adam/v"], t=adam_t)
+    return config, checked["params"], checked["stats"], catalog_hash, adam, extra

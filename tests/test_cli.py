@@ -1,10 +1,11 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
 from scenecomp.catalog import default_catalog
-from scenecomp.cli import main
+from scenecomp.cli import RunConfig, main
 from scenecomp.dataset import generate_synthetic_scene, template_by_name
 from scenecomp.graphs import augment, make_belief_graph, rooms_of, save_graph
 from scenecomp.layout import EMPTY, LayoutGrid
@@ -52,9 +53,10 @@ def test_full_pipeline_round_trip(tmp_path):
     assert (tmp_path / "dataset" / "manifest.json").exists()
 
     assert main(["--config", str(cfg), "train"]) == 0
-    ckpt = json.loads((tmp_path / "checkpoint.json").read_text())
-    assert ckpt["extra"]["stamp"]["S"] == 8
-    assert ckpt["extra"]["stamp"]["catalog_hash"] == default_catalog().hash()
+    with np.load(tmp_path / "checkpoint.json", allow_pickle=False) as ckpt:
+        meta = json.loads(ckpt["meta.json"])
+    assert meta["extra"]["stamp"]["S"] == 8
+    assert meta["extra"]["stamp"]["catalog_hash"] == default_catalog().hash()
 
     assert main(["--config", str(cfg), "eval"]) == 0
     report = json.loads((tmp_path / "out" / "metrics_report.json").read_text())
@@ -130,6 +132,52 @@ def test_predict_rejects_wrong_shape_checkpoint(tmp_path, capsys):
     assert main(["--config", str(cfg), "predict", str(graph)]) == 1
     assert "checkpoint params entry b4 has shape [1]" in capsys.readouterr().err
     assert not (tmp_path / "out" / "prediction.json").exists()
+
+
+def test_train_is_byte_deterministic(tmp_path, monkeypatch):
+    cfg = _write_config(tmp_path, n_scenes=4)
+    assert main(["--config", str(cfg), "generate"]) == 0
+    for name, now in (("a", 1.0e9), ("b", 1.7e9)):
+        monkeypatch.setattr(time, "time", lambda: now)
+        run = _write_config(tmp_path, f"{name}.json", n_scenes=4, checkpoint=str(tmp_path / name / "checkpoint.json"))
+        (tmp_path / name).mkdir()
+        assert main(["--config", str(run), "train"]) == 0
+    assert (tmp_path / "a" / "checkpoint.json").read_bytes() == (tmp_path / "b" / "checkpoint.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_half_length_checkpoint_fails_cleanly(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, n_scenes=4)
+    assert main(["--config", str(cfg), "generate"]) == 0
+    assert main(["--config", str(cfg), "train"]) == 0
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+    args = [str(_belief_graph_file(tmp_path))] if command == "predict" else []
+    capsys.readouterr()
+    assert main(["--config", str(cfg), command, *args]) == 1
+    assert capsys.readouterr().err.startswith("error: unreadable checkpoint")
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("grid_size", "8", "config key grid_size is '8', not int"),
+        ("seed", True, "config key seed is True, not int"),
+        ("lr", "fast", "config key lr is 'fast', not float"),
+        ("ontology_file", 3, "config key ontology_file is 3, not str or null"),
+    ],
+)
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys, key, value, message):
+    cfg = _write_config(tmp_path, n_scenes=4, **{key: value})
+    assert main(["--config", str(cfg), "generate"]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "dataset").exists()
+
+
+def test_config_int_for_float_read_as_float(tmp_path):
+    cfg = RunConfig.load(_write_config(tmp_path, dropout=0, lr=1), {})
+    assert (cfg.dropout, cfg.lr) == (0.0, 1.0)
+    assert type(cfg.dropout) is type(cfg.lr) is float
 
 
 def test_predict_rejects_non_belief_graph(tmp_path, capsys):

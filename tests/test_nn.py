@@ -1,11 +1,18 @@
 import json
 import re
+import time
+import zipfile
 
 import numpy as np
 import pytest
 
 from scenecomp import nn
-from scenecomp.errors import ConfigMismatchError, NonFiniteError, ShapeMismatchError
+from scenecomp.errors import (
+    ConfigMismatchError,
+    NonFiniteError,
+    ShapeMismatchError,
+    UnreadableInputError,
+)
 from scenecomp.graphs import (
     BUILDING,
     GROUND_TRUTH,
@@ -218,14 +225,19 @@ def test_grad_check_linear_exact():
     assert nn.grad_check(cfg, seed=0, h=1e-2) < 1e-8
 
 
-def test_checkpoint_round_trip(tmp_path):
+def _stepped_checkpoint(tmp_path, seed=16):
     cfg = _config()
-    params, stats = nn.init_params(cfg, seed=16)
+    params, stats = nn.init_params(cfg, seed=seed)
     adam = nn.AdamState()
     grads = {k: np.ones_like(v) for k, v in params.items()}
     nn.adam_step(params, grads, adam)
     path = tmp_path / "ckpt.json"
     nn.save_checkpoint(path, cfg, params, stats, "hash123", adam, extra={"note": 1})
+    return path, cfg, params, stats, adam
+
+
+def test_checkpoint_round_trip(tmp_path):
+    path, cfg, params, stats, adam = _stepped_checkpoint(tmp_path)
     cfg2, params2, stats2, chash, adam2, extra = nn.load_checkpoint(path)
     assert cfg2 == cfg
     assert chash == "hash123"
@@ -233,27 +245,134 @@ def test_checkpoint_round_trip(tmp_path):
     assert adam2.t == 1
     for k in params:
         np.testing.assert_array_equal(params[k], params2[k])
+        np.testing.assert_array_equal(adam.m[k], adam2.m[k])
+        np.testing.assert_array_equal(adam.v[k], adam2.v[k])
     for k in stats:
         np.testing.assert_array_equal(stats[k], stats2[k])
+
+
+def test_checkpoint_is_the_given_path_and_opens_with_np_load(tmp_path):
+    path, cfg, params, _, _ = _stepped_checkpoint(tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+    with np.load(path, allow_pickle=False) as npz:
+        np.testing.assert_array_equal(npz["params/w0"], params["w0"])
+        assert json.loads(npz["meta.json"])["version"] == nn.CHECKPOINT_VERSION
+
+
+def test_resumed_adam_step_equals_uninterrupted_step(tmp_path):
+    path, _, params, _, adam = _stepped_checkpoint(tmp_path)
+    _, params2, _, _, adam2, _ = nn.load_checkpoint(path)
+    grads = {k: np.full_like(v, 0.5) for k, v in params.items()}
+    nn.adam_step(params, grads, adam)
+    nn.adam_step(params2, grads, adam2)
+    for k in params:
+        np.testing.assert_array_equal(params[k], params2[k])
+
+
+def test_checkpoint_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
+    cfg = _config()
+    params, stats = nn.init_params(cfg, seed=18)
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, now in zip(paths, (1.0e9, 1.7e9)):
+        monkeypatch.setattr(time, "time", lambda: now)
+        nn.save_checkpoint(path, cfg, params, stats, "hash123", extra={"note": 1})
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
         # a checkpoint written while hidden layers still had biases
-        (lambda doc: doc["params"].update(b0={"shape": [8], "data": [0.0] * 8}), "unexpected ['b0']"),
-        (lambda doc: doc["stats"].pop("var2"), "missing ['var2']"),
-        (lambda doc: doc["params"].update(b4={"shape": [1], "data": [0.5]}), "b4 has shape [1]"),
-        (lambda doc: doc["params"]["w1"].update(data=[0.0] * 3), "w1 has shape [8, 8] with 3 values"),
+        (lambda params, stats: params.update(b0=np.zeros(8)), "unexpected ['b0']"),
+        (lambda params, stats: stats.pop("var2"), "missing ['var2']"),
+        (lambda params, stats: params.update(b4=np.zeros(1)), "b4 has shape [1]"),
+        (lambda params, stats: params.update(w1=np.zeros(3)), "w1 has shape [3]"),
+        (lambda params, stats: params.update(w1=np.zeros((8, 8), np.float32)), "w1 has shape [8, 8] of float32"),
     ],
 )
 def test_checkpoint_rejects_names_and_shapes_its_config_lacks(tmp_path, edit, message):
     cfg = _config()
     params, stats = nn.init_params(cfg, seed=17)
+    edit(params, stats)
     path = tmp_path / "ckpt.json"
     nn.save_checkpoint(path, cfg, params, stats, "hash123")
-    doc = json.loads(path.read_text())
-    edit(doc)
-    path.write_text(json.dumps(doc))
     with pytest.raises(ConfigMismatchError, match=re.escape(message)):
+        nn.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda adam: adam.m.pop("w2"), "checkpoint adam/m do not match its config: unexpected [], missing ['w2']"),
+        (lambda adam: adam.v.update(w0=np.zeros((3, 8))), "checkpoint adam/v entry w0 has shape [3, 8]"),
+    ],
+)
+def test_checkpoint_rejects_adam_moments_unlike_params(tmp_path, edit, message):
+    cfg = _config()
+    params, stats = nn.init_params(cfg, seed=19)
+    adam = nn.AdamState()
+    nn.adam_step(params, {k: np.ones_like(v) for k, v in params.items()}, adam)
+    edit(adam)
+    path = tmp_path / "ckpt.json"
+    nn.save_checkpoint(path, cfg, params, stats, "hash123", adam)
+    with pytest.raises(ConfigMismatchError, match=re.escape(message)):
+        nn.load_checkpoint(path)
+
+
+def _rewrite_members(path, edit):
+    """Rewrite the checkpoint zip at `path` with edit({name: bytes}) applied."""
+    with zipfile.ZipFile(path) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    edit(members)
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
+
+
+def _with_version(version):
+    def edit(members):
+        meta = json.loads(members["meta.json"])
+        meta["version"] = version
+        members["meta.json"] = json.dumps(meta).encode()
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
+        lambda path: path.write_bytes(b"\x00" * 64),
+        lambda path: path.write_text("{\"version\": 1, \"params\": {"),
+        lambda path: _rewrite_members(path, lambda m: m.pop("meta.json")),
+        lambda path: _rewrite_members(path, lambda m: m.update({"meta.json": b"[2]"})),
+        lambda path: _rewrite_members(path, lambda m: m.update({"meta.json": b"{\"version\": 2"})),
+        # the header still declares (8, 8) but only three values follow it
+        lambda path: _rewrite_members(
+            path, lambda m: m.update({"params/w1.npy": m["params/w1.npy"][: -61 * 8]})
+        ),
+        lambda path: _rewrite_members(path, lambda m: m.update({"params/notes.txt": b"hi"})),
+    ],
+    ids=["half", "zeros", "json-cut", "no-meta", "meta-list", "meta-cut", "w1-cut", "stray-member"],
+)
+def test_unreadable_checkpoint_raises_named_error(tmp_path, corrupt):
+    path, *_ = _stepped_checkpoint(tmp_path)
+    corrupt(path)
+    with pytest.raises(UnreadableInputError, match="unreadable checkpoint"):
+        nn.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "write, found",
+    [
+        # version 1 wrote one JSON document of float lists
+        (lambda path: path.write_text(json.dumps({"version": 1, "config": {}, "params": {}})), "JSON file of format version 1"),
+        (lambda path: _rewrite_members(path, _with_version(3)), "zip file of format version 3"),
+        (lambda path: _rewrite_members(path, _with_version("2")), "zip file of format version '2'"),
+    ],
+)
+def test_checkpoint_of_another_version_is_refused(tmp_path, write, found):
+    path, *_ = _stepped_checkpoint(tmp_path)
+    write(path)
+    with pytest.raises(ConfigMismatchError, match=re.escape(found) + ".*retrain"):
         nn.load_checkpoint(path)
