@@ -35,6 +35,7 @@ from .errors import (
     MissingArtifactError,
     SceneCompError,
     UnreadableInputError,
+    read_json,
 )
 from .graphs import BELIEF, BLIND, augment, children_of, load_graph
 from .layout import (
@@ -96,8 +97,7 @@ class RunConfig:
         hints = typing.get_type_hints(RunConfig)
         values = {}
         if path:
-            with open(path, "r", encoding="utf-8") as f:
-                doc = json.load(f)
+            doc = read_json(path)
             unknown = set(doc) - set(hints)
             if unknown:
                 raise ConfigMismatchError(f"unknown config keys: {sorted(unknown)}")
@@ -292,8 +292,7 @@ def cmd_predict(cfg: RunConfig, graph_path) -> None:
 
 
 def cmd_layout(cfg: RunConfig, prediction_path) -> None:
-    with open(_require(prediction_path, "prediction file"), "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = read_json(_require(prediction_path, "prediction file"))
     _check_stamp(doc, cfg, "prediction file")
     heat = heatmaps_from_dict(doc["heatmaps"])
     threshold = cfg.threshold if cfg.threshold is not None else default_threshold(heat.grid_size)
@@ -317,11 +316,7 @@ def cmd_layout(cfg: RunConfig, prediction_path) -> None:
 
 
 def cmd_render(cfg: RunConfig, input_path) -> None:
-    with open(_require(input_path, "render input"), "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise UnreadableInputError(f"not a JSON artifact: {input_path}") from e
+    doc = read_json(_require(input_path, "render input"))
     out_dir = Path(cfg.output_dir)
     labels = default_catalog().labels
     if "heatmaps" in doc:

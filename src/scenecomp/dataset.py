@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import ClassCatalog
-from .errors import BadRatiosError, EmptyGraphError
+from .errors import BadRatiosError, EmptyGraphError, read_json
 from .graphs import (
     BELIEF,
     BLIND,
@@ -480,13 +480,10 @@ def save_dataset(
 def load_dataset(in_dir):
     """Read a dataset directory; returns (manifest, {split: [BsgSample]})."""
     in_dir = Path(in_dir)
-    with open(in_dir / "manifest.json", "r", encoding="utf-8") as f:
-        manifest = json.load(f)
+    manifest = read_json(in_dir / "manifest.json")
     splits = {}
     for split_name, file_names in manifest["splits"].items():
-        loaded = []
-        for name in file_names:
-            with open(in_dir / "samples" / name, "r", encoding="utf-8") as f:
-                loaded.append(sample_from_dict(json.load(f)))
-        splits[split_name] = loaded
+        splits[split_name] = [
+            sample_from_dict(read_json(in_dir / "samples" / name)) for name in file_names
+        ]
     return manifest, splits

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `read_json`, which turns a
+malformed JSON file into one of them."""
+
+import json
 
 
 class SceneCompError(Exception):
@@ -101,3 +104,16 @@ class MissingArtifactError(SceneCompError):
 
 class UnreadableInputError(SceneCompError):
     pass
+
+
+def read_json(path):
+    """The JSON document in the file at path.
+
+    A file that is not valid UTF-8 JSON raises UnreadableInputError naming
+    it; a missing file raises OSError as `open` does.
+    """
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+            raise UnreadableInputError(f"unreadable JSON file {path}: {e}") from e

@@ -20,6 +20,7 @@ from .errors import (
     NegativeCountError,
     UnknownClassError,
     UnknownRoomError,
+    read_json,
 )
 
 BUILDING = "building"
@@ -271,5 +272,4 @@ def save_graph(g: SceneGraph, path) -> None:
 
 
 def load_graph(path) -> SceneGraph:
-    with open(path, "r", encoding="utf-8") as f:
-        return graph_from_dict(json.load(f))
+    return graph_from_dict(read_json(path))

@@ -4,9 +4,10 @@ Room nodes carry the whole signal (flattened partial heatmaps, counts, and
 for the ontology variant an affinity-mixed copy of the heatmaps); all other
 nodes get zero features, so room-to-room information flows through the
 building node during message passing. Loss is computed on room rows only,
-against the raw network output. The network is therefore fed the room
-rows' features alone and asked for the room rows' outputs alone
-(`nn.forward`'s `rows`); every node still takes part in message passing.
+against the raw network output. An encoded sample therefore holds the room
+rows' features alone, and the network is asked for the room rows' outputs
+alone (`nn.forward`'s `rows`); every node still takes part in message
+passing.
 """
 from __future__ import annotations
 
@@ -53,15 +54,20 @@ def new_model(
 @dataclass
 class EncodedSample:
     a_hat: sp.csr_matrix
-    x: np.ndarray
-    room_rows: np.ndarray  # indices of room nodes within the feature matrix
+    x: np.ndarray  # [n_rooms, input_width]: the room rows' features
+    room_rows: np.ndarray  # the room nodes' rows in a_hat, in the order of x
     room_ids: tuple[int, ...]
     target: np.ndarray  # [n_rooms, output_width]
     sample: BsgSample
 
 
 def encode_inputs(sample: BsgSample, model: CompositionModel) -> EncodedSample:
-    """Node features and normalized adjacency for one belief-graph sample."""
+    """Room-row features and normalized adjacency for one belief-graph sample.
+
+    Row ri of x holds room ri's flattened heatmaps, its counts and, for the
+    ontology variant, its affinity-mixed heatmaps; every other node's
+    features are zero and are not stored.
+    """
     cfg = model.config
     if sample.input_heatmaps.grid_size != cfg.grid_size:
         raise ConfigMismatchError(
@@ -79,15 +85,15 @@ def encode_inputs(sample: BsgSample, model: CompositionModel) -> EncodedSample:
         node_ids = sorted(n.id for n in g.nodes)
     a_hat = nn.normalized_adjacency(g, node_ids)
     index = {nid: i for i, nid in enumerate(node_ids)}
-    x = np.zeros((len(node_ids), cfg.input_width))
     heat = sample.input_heatmaps
-    counts = sample.counts
-    for ri, room_id in enumerate(heat.room_ids):
-        blocks = [heat.data[ri].ravel(), counts.data[ri].astype(np.float64)]
-        if cfg.variant == BASE_ONT:
+    n_rooms, block = len(heat.room_ids), cfg.n_classes * cfg.grid_size ** 2
+    x = np.empty((n_rooms, cfg.input_width))
+    x[:, :block] = heat.data.reshape(n_rooms, block)
+    x[:, block : block + cfg.n_classes] = sample.counts.data
+    if cfg.variant == BASE_ONT:
+        for ri in range(n_rooms):
             mixed = np.einsum("ij,jxy->ixy", model.affinity.matrix, heat.data[ri])
-            blocks.append(mixed.ravel())
-        x[index[room_id]] = np.concatenate(blocks)
+            x[ri, block + cfg.n_classes :] = mixed.ravel()
     room_rows = np.array([index[rid] for rid in heat.room_ids], dtype=np.intp)
     target = sample.target_heatmaps.data.reshape(len(heat.room_ids), -1)
     return EncodedSample(a_hat, x, room_rows, heat.room_ids, target, sample)
@@ -96,7 +102,7 @@ def encode_inputs(sample: BsgSample, model: CompositionModel) -> EncodedSample:
 def raw_outputs(model: CompositionModel, enc: EncodedSample) -> np.ndarray:
     """Eval-mode network output for the room rows, before post-processing."""
     out, _ = nn.forward(
-        enc.a_hat, enc.x[enc.room_rows], model.params, model.stats, model.config,
+        enc.a_hat, enc.x, model.params, model.stats, model.config,
         rows=enc.room_rows,
     )
     return out
@@ -159,15 +165,24 @@ def _batch(encoded: list[EncodedSample]):
 
     Returns (adjacency over every node, room-row features, room-row indices
     into the adjacency, room-row targets); the features and targets are in
-    the order of the indices.
+    the order of the indices. The adjacency is each graph's CSR arrays
+    concatenated with offsets: the same matrix, entry for entry, as
+    sp.block_diag(..., format="csr").
     """
-    a = sp.block_diag([e.a_hat for e in encoded], format="csr")
-    x = np.vstack([e.x[e.room_rows] for e in encoded])
-    rows = []
-    offset = 0
+    indptr, indices, data, rows = [np.zeros(1, dtype=np.int32)], [], [], []
+    n = nnz = 0
     for e in encoded:
-        rows.append(e.room_rows + offset)
-        offset += e.x.shape[0]
+        a = e.a_hat
+        indptr.append(a.indptr[1:] + nnz)
+        indices.append(a.indices + n)
+        data.append(a.data)
+        rows.append(e.room_rows + n)
+        n, nnz = n + a.shape[0], nnz + a.nnz
+    a = sp.csr_matrix(
+        (np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)),
+        shape=(n, n),
+    )
+    x = np.vstack([e.x for e in encoded])
     target = np.vstack([e.target for e in encoded])
     return a, x, np.concatenate(rows), target
 

@@ -13,6 +13,11 @@ and computes just what they need. The first layer multiplies the non-zero
 rows by its weights before propagating them, as Kipf & Welling (2017)
 suggest for sparse features, and the last layer propagates into the read
 rows only. `backward` never forms the gradient w.r.t. the input features.
+
+`adam_step` updates the parameters and moments in place. Its elementwise
+passes run over one L2-sized block (`ADAM_BLOCK` elements) at a time
+rather than over whole arrays, which gives the same bits with far less
+memory traffic.
 """
 from __future__ import annotations
 
@@ -113,26 +118,29 @@ def init_params(config: ModelConfig, seed: int = 0):
 
 
 def normalized_adjacency(g: SceneGraph, node_ids: list[int] | None = None) -> sp.csr_matrix:
-    """Symmetric degree-normalized adjacency with self-loops.
+    """Symmetric degree-normalized adjacency with self-loops, D^-1/2 A D^-1/2.
 
     node_ids fixes the row/column order; defaults to all nodes in id order.
+    Edges with an end outside node_ids are dropped and duplicate edges count
+    once. Each entry is the single product d[row] * a * d[col].
     """
     if node_ids is None:
         node_ids = sorted(n.id for n in g.nodes)
     index = {nid: i for i, nid in enumerate(node_ids)}
     n = len(node_ids)
-    rows, cols = list(range(n)), list(range(n))
-    for parent, child in g.edges:
-        if parent in index and child in index:
-            rows += [index[parent], index[child]]
-            cols += [index[child], index[parent]]
-    vals = np.ones(len(rows))
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    ends = np.array(
+        [(index[p], index[c]) for p, c in g.edges if p in index and c in index],
+        dtype=np.intp,
+    ).reshape(-1, 2)
+    loops = np.arange(n)
+    rows = np.concatenate([loops, ends[:, 0], ends[:, 1]])
+    cols = np.concatenate([loops, ends[:, 1], ends[:, 0]])
+    a = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
     a.data = np.minimum(a.data, 1.0)  # collapse duplicate edges
-    deg = np.asarray(a.sum(axis=1)).ravel()
-    d_inv_sqrt = 1.0 / np.sqrt(deg)
-    d = sp.diags(d_inv_sqrt)
-    return (d @ a @ d).tocsr()
+    d = 1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel())
+    row = np.repeat(np.arange(n), np.diff(a.indptr))
+    a.data = d[row] * a.data * d[a.indices]
+    return a
 
 
 def _check_finite(name: str, *arrays) -> None:
@@ -270,13 +278,27 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
 # --- optimizer ------------------------------------------------------------
 
 
+# Adam runs its elementwise passes one block of this many elements at a
+# time, so that a block's slices of m, v, p, g and the work arrays stay in
+# L2 cache between passes.
+ADAM_BLOCK = 32768
+
+
 @dataclass
 class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: int = 0
-    # two work arrays per parameter, so a step allocates nothing
-    scratch: dict = field(default_factory=dict)
+    # two block-sized work arrays shared by every parameter, so a step
+    # allocates nothing; adam_step creates them when missing
+    scratch: tuple = ()
+
+
+def _flat(a: np.ndarray, what: str) -> np.ndarray:
+    """A 1-D view of a; raises rather than letting reshape copy."""
+    if not a.flags.c_contiguous:
+        raise ShapeMismatchError(f"adam_step needs C-contiguous arrays; {what} is not")
+    return a.reshape(-1)
 
 
 def adam_step(
@@ -296,32 +318,40 @@ def adam_step(
         v = beta2 * v + (1 - beta2) * g * g
         p -= lr_t * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
     writing every intermediate into m, v, p or the state's scratch arrays.
+    The operations run on one block of ADAM_BLOCK elements at a time; each
+    is elementwise, so the result is the same bits as whole-array passes.
     """
     state.t += 1
     t = state.t
     lr_t = lr / (1.0 + decay * t)
+    if not state.scratch:  # a new state, or one read from a checkpoint
+        state.scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
     for name, g in grads.items():
         if name not in state.m:
-            state.m[name] = np.zeros_like(g)
-            state.v[name] = np.zeros_like(g)
-        if name not in state.scratch:  # a state read from a checkpoint has none
-            state.scratch[name] = (np.empty_like(g), np.empty_like(g))
-        m, v, p = state.m[name], state.v[name], params[name]
-        s1, s2 = state.scratch[name]
-        np.multiply(m, beta1, out=m)
-        np.multiply(g, 1 - beta1, out=s1)
-        np.add(m, s1, out=m)
-        np.multiply(v, beta2, out=v)
-        np.multiply(g, 1 - beta2, out=s1)
-        np.multiply(s1, g, out=s1)
-        np.add(v, s1, out=v)
-        np.divide(m, 1 - beta1 ** t, out=s1)
-        np.multiply(s1, lr_t, out=s1)
-        np.divide(v, 1 - beta2 ** t, out=s2)
-        np.sqrt(s2, out=s2)
-        np.add(s2, eps, out=s2)
-        np.divide(s1, s2, out=s1)
-        np.subtract(p, s1, out=p)
+            state.m[name] = np.zeros(g.shape)
+            state.v[name] = np.zeros(g.shape)
+        flat = [
+            _flat(a, f"{what} {name}")
+            for what, a in (("m", state.m[name]), ("v", state.v[name]),
+                            ("param", params[name]), ("grad", g))
+        ]
+        for lo in range(0, g.size, ADAM_BLOCK):
+            m, v, p, gb = (a[lo : lo + ADAM_BLOCK] for a in flat)
+            s1, s2 = (s[: gb.size] for s in state.scratch)
+            np.multiply(m, beta1, out=m)
+            np.multiply(gb, 1 - beta1, out=s1)
+            np.add(m, s1, out=m)
+            np.multiply(v, beta2, out=v)
+            np.multiply(gb, 1 - beta2, out=s1)
+            np.multiply(s1, gb, out=s1)
+            np.add(v, s1, out=v)
+            np.divide(m, 1 - beta1 ** t, out=s1)
+            np.multiply(s1, lr_t, out=s1)
+            np.divide(v, 1 - beta2 ** t, out=s2)
+            np.sqrt(s2, out=s2)
+            np.add(s2, eps, out=s2)
+            np.divide(s1, s2, out=s1)
+            np.subtract(p, s1, out=p)
 
 
 # --- gradient checking ----------------------------------------------------

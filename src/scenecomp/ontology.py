@@ -28,6 +28,7 @@ from .errors import (
     NonNumericCellError,
     OntologyParseError,
     OutOfRangeError,
+    read_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -144,8 +145,7 @@ class EndpointConfig:
 
     @staticmethod
     def from_file(path) -> "EndpointConfig":
-        with open(path, "r", encoding="utf-8") as f:
-            d = json.load(f)
+        d = read_json(path)
         return EndpointConfig(
             base_url=d["base_url"],
             model=d["model"],

@@ -180,6 +180,35 @@ def test_config_int_for_float_read_as_float(tmp_path):
     assert type(cfg.dropout) is type(cfg.lr) is float
 
 
+@pytest.mark.parametrize(
+    "command", ["generate", "train", "train-sample", "predict", "layout", "render", "ontology"]
+)
+def test_malformed_json_input_fails_cleanly(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, n_scenes=4)
+    bad = tmp_path / "bad.json"
+    if command.startswith("train"):
+        assert main(["--config", str(cfg), "generate"]) == 0
+        dataset = tmp_path / "dataset"
+        bad = dataset / "manifest.json" if command == "train" else next((dataset / "samples").iterdir())
+        bad.write_bytes(bad.read_bytes()[: bad.stat().st_size // 2])
+        args = ["train"]
+    elif command == "generate":
+        bad.write_text('{"grid_size": 8,')
+        cfg, args = bad, ["generate"]
+    elif command == "render":
+        bad.write_bytes(b'{"heatmaps": "\xff"}')  # not UTF-8
+        args = ["render", str(bad)]
+    elif command == "ontology":
+        bad.write_text('{"base_url": ')
+        args = ["ontology", "build", "--endpoint-config", str(bad)]
+    else:
+        bad.write_text('{"kind": ' if command == "predict" else '{"stamp": ')
+        args = [command, str(bad)]
+    capsys.readouterr()
+    assert main(["--config", str(cfg), *args]) == 1
+    assert capsys.readouterr().err.startswith(f"error: unreadable JSON file {bad}: ")
+
+
 def test_predict_rejects_non_belief_graph(tmp_path, capsys):
     cfg = _write_config(tmp_path, n_scenes=4)
     assert main(["--config", str(cfg), "generate"]) == 0

@@ -43,18 +43,18 @@ def test_encode_room_features(catalog):
     s = _sample(catalog)
     m = _model(catalog)
     enc = encode_inputs(s, m)
-    # non-room rows are zero
+    # only the room rows are stored (all other rows are zero), and
+    # room_rows places them in the adjacency
+    n_rooms = len(s.graph.nodes_in_layer(ROOM))
+    assert enc.x.shape == (n_rooms, m.config.input_width)
     node_ids = sorted(n.id for n in s.graph.nodes)
-    room_ids = {n.id for n in s.graph.nodes_in_layer(ROOM)}
-    for i, nid in enumerate(node_ids):
-        if nid not in room_ids:
-            assert np.all(enc.x[i] == 0.0)
+    assert [node_ids[i] for i in enc.room_rows] == list(s.input_heatmaps.room_ids)
     # room rows carry the flattened heatmaps and counts
-    ri = 0
-    row = enc.x[enc.room_rows[ri]]
     n, s2 = catalog.n, 8 * 8
-    np.testing.assert_array_equal(row[: n * s2], s.input_heatmaps.data[ri].ravel())
-    np.testing.assert_array_equal(row[n * s2 : n * s2 + n], s.counts.data[ri])
+    for ri in range(n_rooms):
+        row = enc.x[ri]
+        np.testing.assert_array_equal(row[: n * s2], s.input_heatmaps.data[ri].ravel())
+        np.testing.assert_array_equal(row[n * s2 : n * s2 + n], s.counts.data[ri])
 
 
 def test_encode_identity_affinity_duplicates_block(catalog):
@@ -63,7 +63,7 @@ def test_encode_identity_affinity_duplicates_block(catalog):
     m = _model(catalog, variant=BASE_ONT, affinity=aff)
     enc = encode_inputs(s, m)
     n, s2 = catalog.n, 64
-    row = enc.x[enc.room_rows[0]]
+    row = enc.x[0]
     np.testing.assert_allclose(row[n * s2 + n :], row[: n * s2], atol=1e-15)
 
 
@@ -221,5 +221,5 @@ def test_rooms_only_flag(catalog):
     m = new_model(cfg, catalog.hash(), 0)
     enc = encode_inputs(s, m)
     n_rooms = len(s.graph.nodes_in_layer(ROOM))
-    assert enc.x.shape[0] == n_rooms + 1  # rooms plus the building node
+    assert enc.a_hat.shape[0] == n_rooms + 1  # rooms plus the building node
     predict(m, s).validate()

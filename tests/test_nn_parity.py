@@ -6,15 +6,20 @@ every node's features, return every node's output, form the
 input-feature gradient, give every layer a bias and allocate fresh arrays
 in Adam. The reference runs with zero hidden biases, which is what
 `init_params` used to create and what the room-row network no longer has.
+`loop_normalized_adjacency` is the adjacency builder that appended edges
+in a Python loop and scaled with sparse diagonal products, also verbatim.
 """
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from scenecomp import nn
 from scenecomp.catalog import default_catalog
 from scenecomp.dataset import default_templates, generate_synthetic_scene, make_sample
 from scenecomp.errors import ShapeMismatchError
-from scenecomp.graphs import augment
+from scenecomp.graphs import BUILDING, ROOM, SceneGraph, augment
 from scenecomp.model import BASE, BASE_ONT, _batch, encode_inputs, new_model
 from scenecomp.nn import BN_EPS, AdamState, ModelConfig, _check_finite
 from scenecomp.ontology import class_affinity, default_ontology
@@ -144,6 +149,29 @@ def dense_adam_step(
         params[name] -= lr_t * m_hat / (np.sqrt(v_hat) + eps)
 
 
+def loop_normalized_adjacency(g: SceneGraph, node_ids: list[int] | None = None) -> sp.csr_matrix:
+    """Symmetric degree-normalized adjacency with self-loops.
+
+    node_ids fixes the row/column order; defaults to all nodes in id order.
+    """
+    if node_ids is None:
+        node_ids = sorted(n.id for n in g.nodes)
+    index = {nid: i for i, nid in enumerate(node_ids)}
+    n = len(node_ids)
+    rows, cols = list(range(n)), list(range(n))
+    for parent, child in g.edges:
+        if parent in index and child in index:
+            rows += [index[parent], index[child]]
+            cols += [index[child], index[parent]]
+    vals = np.ones(len(rows))
+    a = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    a.data = np.minimum(a.data, 1.0)  # collapse duplicate edges
+    deg = np.asarray(a.sum(axis=1)).ravel()
+    d_inv_sqrt = 1.0 / np.sqrt(deg)
+    d = sp.diags(d_inv_sqrt)
+    return (d @ a @ d).tocsr()
+
+
 # --- parity ----------------------------------------------------------------
 
 GRID = 8
@@ -175,7 +203,8 @@ def _problem(variant, dropout=0.0, linear_only=False):
         samples.append(make_sample(augment(g, 0.25, seed), 0.25, GRID, seed))
     encoded = [encode_inputs(s, model) for s in samples]
     a, x_rooms, rows, target = _batch(encoded)
-    x_all = np.vstack([e.x for e in encoded])
+    x_all = np.zeros((a.shape[0], x_rooms.shape[1]))
+    x_all[rows] = x_rooms
     return model, a, x_all, x_rooms, rows, target
 
 
@@ -265,7 +294,10 @@ def test_linear_only_matches_dense():
 
 def test_adam_bitwise_equals_dense():
     rng = np.random.default_rng(9)
-    shapes = {"w0": (40, 7), "b0": (7,), "gamma1": (3,)}
+    # "w1" spans more than two Adam blocks and ends in a partial one
+    shapes = {"w0": (40, 7), "b0": (7,), "gamma1": (3,), "w1": (7, nn.ADAM_BLOCK // 3)}
+    assert shapes["w1"][0] * shapes["w1"][1] > 2 * nn.ADAM_BLOCK
+    assert shapes["w1"][0] * shapes["w1"][1] % nn.ADAM_BLOCK != 0
     params = {k: rng.normal(size=s) for k, s in shapes.items()}
     params_ref = {k: v.copy() for k, v in params.items()}
     state, state_ref = AdamState(), AdamState()
@@ -278,3 +310,83 @@ def test_adam_bitwise_equals_dense():
         assert np.array_equal(params[k], params_ref[k])
         assert np.array_equal(state.m[k], state_ref.m[k])
         assert np.array_equal(state.v[k], state_ref.v[k])
+
+
+def test_adam_resumed_from_checkpoint_equals_dense(tmp_path):
+    # hidden 32 gives w0 and w4 over two Adam blocks each, neither a multiple
+    config = ModelConfig(n_classes=default_catalog().n, grid_size=GRID, hidden=32)
+    params, stats = nn.init_params(config, seed=5)
+    assert all(params[k].size > 2 * nn.ADAM_BLOCK for k in ("w0", "w4"))
+    assert all(params[k].size % nn.ADAM_BLOCK for k in ("w0", "w4"))
+    params_ref = {k: v.copy() for k, v in params.items()}
+    state, state_ref = AdamState(), AdamState()
+    rng = np.random.default_rng(10)
+    steps = [{k: rng.normal(size=v.shape) for k, v in params.items()} for _ in range(3)]
+    for grads in steps:
+        dense_adam_step(params_ref, grads, state_ref, lr=1e-3, decay=1e-2)
+    for grads in steps[:2]:
+        nn.adam_step(params, grads, state, lr=1e-3, decay=1e-2)
+    path = tmp_path / "ckpt"
+    nn.save_checkpoint(path, config, params, stats, "hash", state)
+    _, params, _, _, state, _ = nn.load_checkpoint(path)
+    assert state.scratch == ()
+    nn.adam_step(params, steps[2], state, lr=1e-3, decay=1e-2)
+    assert state.t == state_ref.t == 3
+    for k in params:
+        assert np.array_equal(params[k], params_ref[k]), k
+        assert np.array_equal(state.m[k], state_ref.m[k]), k
+        assert np.array_equal(state.v[k], state_ref.v[k]), k
+
+
+@pytest.mark.parametrize("which", ["param", "grad"])
+def test_adam_refuses_arrays_it_cannot_flatten_in_place(which):
+    params = {"w0": np.ones((4, 3))}
+    grads = {"w0": np.ones((4, 3))}
+    {"param": params, "grad": grads}[which]["w0"] = np.ones((4, 3), order="F")
+    with pytest.raises(ShapeMismatchError, match=f"{which} w0 is not"):
+        nn.adam_step(params, grads, AdamState())
+
+
+def _scenes(n=6, n_rooms=3):
+    catalog = default_catalog()
+    return [
+        augment(generate_synthetic_scene(default_templates(), n_rooms, seed, catalog), 0.25, seed)
+        for seed in range(n)
+    ]
+
+
+def _assert_same_csr(a, ref):
+    assert type(a) is type(ref) and a.shape == ref.shape
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, part), getattr(ref, part)), part
+
+
+@pytest.mark.parametrize("subset", ["all", "rooms_only"])
+def test_normalized_adjacency_bitwise_equals_loop(subset):
+    for g in _scenes():
+        node_ids = None
+        if subset == "rooms_only":
+            node_ids = sorted(n.id for n in g.nodes if n.layer in (BUILDING, ROOM))
+        _assert_same_csr(nn.normalized_adjacency(g, node_ids), loop_normalized_adjacency(g, node_ids))
+
+
+def test_normalized_adjacency_counts_a_duplicate_edge_once():
+    g = _scenes(1)[0]
+    dup = dataclasses.replace(g, edges=g.edges + (g.edges[0], g.edges[-1]))
+    a = nn.normalized_adjacency(dup)
+    _assert_same_csr(a, loop_normalized_adjacency(dup))
+    _assert_same_csr(a, nn.normalized_adjacency(g))
+
+
+@pytest.mark.parametrize("rooms_only", [False, True])
+def test_batch_adjacency_equals_block_diag(rooms_only):
+    catalog = default_catalog()
+    config = ModelConfig(n_classes=catalog.n, grid_size=GRID, hidden=8, rooms_only=rooms_only)
+    model = new_model(config, catalog.hash())
+    encoded = [encode_inputs(make_sample(g, 0.25, GRID, k), model) for k, g in enumerate(_scenes())]
+    a, x, rows, target = _batch(encoded)
+    _assert_same_csr(a, sp.block_diag([e.a_hat for e in encoded], format="csr"))
+    offsets = np.cumsum([0] + [e.a_hat.shape[0] for e in encoded[:-1]])
+    assert np.array_equal(rows, np.concatenate([e.room_rows + o for e, o in zip(encoded, offsets)]))
+    assert np.array_equal(x, np.vstack([e.x for e in encoded]))
+    assert np.array_equal(target, np.vstack([e.target for e in encoded]))
