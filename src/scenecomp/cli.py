@@ -65,7 +65,7 @@ from .ontology import (
     query_llm_ontology,
     save_ontology,
 )
-from .raster import rasterize
+from .raster import HeatmapSet, rasterize
 from .render import render_heatmaps, render_layout
 
 TOOL_VERSION = __version__
@@ -98,6 +98,10 @@ class RunConfig:
         values = {}
         if path:
             doc = read_json(path)
+            if not isinstance(doc, dict):
+                raise ConfigMismatchError(
+                    f"config file {path} holds a JSON {type(doc).__name__}, not an object"
+                )
             unknown = set(doc) - set(hints)
             if unknown:
                 raise ConfigMismatchError(f"unknown config keys: {sorted(unknown)}")
@@ -124,7 +128,9 @@ def _stamp(cfg: RunConfig) -> dict:
 
 
 def _check_stamp(artifact: dict, cfg: RunConfig, what: str) -> None:
-    stamp = artifact.get("stamp", {})
+    stamp = artifact.get("stamp")
+    if not isinstance(stamp, dict):
+        stamp = {}
     if stamp.get("S") != cfg.grid_size:
         raise ConfigMismatchError(
             f"{what}: grid size {stamp.get('S')} != configured {cfg.grid_size}"
@@ -142,6 +148,23 @@ def _require(path, what: str) -> Path:
     if not p.exists():
         raise MissingArtifactError(f"{what} not found: {p}")
     return p
+
+
+def _read_object(path) -> dict:
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise UnreadableInputError(f"{path} holds a JSON {type(doc).__name__}, not an object")
+    return doc
+
+
+def _prediction_heatmaps(doc: dict, path) -> HeatmapSet:
+    """The heatmaps of the prediction document read from path."""
+    if "heatmaps" not in doc:
+        raise UnreadableInputError(f"prediction file {path} holds no heatmaps")
+    try:
+        return heatmaps_from_dict(doc["heatmaps"])
+    except UnreadableInputError as e:
+        raise UnreadableInputError(f"prediction file {path}: {e}") from e
 
 
 def cmd_generate(cfg: RunConfig) -> None:
@@ -275,26 +298,24 @@ def cmd_predict(cfg: RunConfig, graph_path) -> None:
         for b in children_of(g, room, BLIND):
             per_class[b.class_index] = per_class.get(b.class_index, 0) + 1
         blind_counts[str(room)] = per_class
-    with open(out, "w", encoding="utf-8") as f:
-        json.dump(
-            {
-                "stamp": _stamp(cfg),
-                "heatmaps": heatmaps_to_dict(predicted),
-                "counts": {
-                    "room_ids": list(counts.room_ids),
-                    "data": [[int(v) for v in row] for row in counts.data],
-                },
-                "blind_counts": blind_counts,
-            },
-            f,
-        )
+    doc = {
+        "stamp": _stamp(cfg),
+        "heatmaps": heatmaps_to_dict(predicted),
+        "counts": {
+            "room_ids": list(counts.room_ids),
+            "data": [[int(v) for v in row] for row in counts.data],
+        },
+        "blind_counts": blind_counts,
+    }
+    out.write_text(json.dumps(doc), encoding="utf-8")
     print(f"prediction written to {out}")
 
 
 def cmd_layout(cfg: RunConfig, prediction_path) -> None:
-    doc = read_json(_require(prediction_path, "prediction file"))
+    path = _require(prediction_path, "prediction file")
+    doc = _read_object(path)
     _check_stamp(doc, cfg, "prediction file")
-    heat = heatmaps_from_dict(doc["heatmaps"])
+    heat = _prediction_heatmaps(doc, path)
     threshold = cfg.threshold if cfg.threshold is not None else default_threshold(heat.grid_size)
     rooms_out = []
     for ri, room_id in enumerate(heat.room_ids):
@@ -316,11 +337,12 @@ def cmd_layout(cfg: RunConfig, prediction_path) -> None:
 
 
 def cmd_render(cfg: RunConfig, input_path) -> None:
-    doc = read_json(_require(input_path, "render input"))
+    path = _require(input_path, "render input")
+    doc = _read_object(path)
     out_dir = Path(cfg.output_dir)
     labels = default_catalog().labels
     if "heatmaps" in doc:
-        written = render_heatmaps(heatmaps_from_dict(doc["heatmaps"]), labels, out_dir)
+        written = render_heatmaps(_prediction_heatmaps(doc, path), labels, out_dir)
     elif "rooms" in doc:
         written = []
         for room_doc in doc["rooms"]:

@@ -16,7 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import ClassCatalog
-from .errors import BadRatiosError, EmptyGraphError, read_json
+from .errors import (
+    BadRatiosError,
+    ConfigMismatchError,
+    EmptyGraphError,
+    UnreadableInputError,
+    read_json,
+)
 from .graphs import (
     BELIEF,
     BLIND,
@@ -32,7 +38,8 @@ from .graphs import (
 )
 from .raster import DEFAULT_GRID_SIZE, Frame, HeatmapSet, ObjectCounts, rasterize, room_frame
 
-FORMAT_VERSION = 1
+# Version 2 stores only the heatmap planes that are not all zero.
+FORMAT_VERSION = 2
 
 
 def splitmix64(seed: int, index: int) -> int:
@@ -392,31 +399,80 @@ def split_dataset(samples, ratios=(0.8, 0.1, 0.1), seed: int = 0):
 # --- serialization --------------------------------------------------------
 
 
-def _array_to_b64(a: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _array_from_b64(s: str, shape) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(s), dtype="<f8").reshape(shape).copy()
-
-
 def heatmaps_to_dict(h: HeatmapSet) -> dict:
+    """A HeatmapSet as JSON-ready data that keeps only its non-zero planes.
+
+    `planes` lists, ascending, the flat index room * n_classes + class of
+    each (room, class) plane with any bit set, so a plane of -0.0 is kept
+    and reads back bitwise; `data_b64` holds those planes, in that order,
+    as little-endian float64.
+    """
+    n_rooms, n_classes, rows, cols = h.data.shape
+    flat = np.ascontiguousarray(h.data, dtype="<f8").reshape(n_rooms * n_classes, rows * cols)
+    planes = np.flatnonzero(flat.view("<i8").any(axis=1))
     return {
         "room_ids": list(h.room_ids),
         "grid_size": h.grid_size,
         "room_frames": [list(f) for f in h.room_frames],
         "shape": list(h.data.shape),
-        "data_b64": _array_to_b64(h.data),
+        "planes": planes.tolist(),
+        "data_b64": base64.b64encode(flat[planes].tobytes()).decode("ascii"),
     }
 
 
+_HEATMAP_KEYS = ("room_ids", "grid_size", "room_frames", "shape", "planes", "data_b64")
+
+
 def heatmaps_from_dict(d: dict) -> HeatmapSet:
-    return HeatmapSet(
-        _array_from_b64(d["data_b64"], d["shape"]),
-        tuple(d["room_ids"]),
-        int(d["grid_size"]),
-        tuple(tuple(f) for f in d["room_frames"]),
+    """The HeatmapSet that heatmaps_to_dict wrote: its planes scattered into zeros.
+
+    Data that does not describe one consistent set raises UnreadableInputError.
+    """
+    if not isinstance(d, dict):
+        raise UnreadableInputError("heatmaps are not a JSON object")
+    missing = [k for k in _HEATMAP_KEYS if k not in d]
+    if missing:
+        raise UnreadableInputError(f"heatmaps lack the keys {missing}")
+    try:
+        room_ids = tuple(d["room_ids"])
+        grid_size = int(d["grid_size"])
+        room_frames = tuple(tuple(f) for f in d["room_frames"])
+        shape = tuple(int(n) for n in d["shape"])
+        raw = base64.b64decode(d["data_b64"])
+    except (TypeError, ValueError) as e:  # binascii.Error is a ValueError
+        raise UnreadableInputError(f"unreadable heatmaps: {e}") from e
+    if (
+        len(shape) != 4
+        or min(shape) < 0
+        or not shape[0] == len(room_ids) == len(room_frames)
+        or shape[2:] != (grid_size, grid_size)
+    ):
+        raise UnreadableInputError(
+            f"heatmaps of shape {list(shape)} do not fit {len(room_ids)} rooms "
+            f"and {len(room_frames)} frames at grid size {grid_size}"
+        )
+    planes = d["planes"]
+    n_planes = shape[0] * shape[1]
+    if not (
+        isinstance(planes, list)
+        and all(type(p) is int for p in planes)
+        and planes == sorted(set(planes))
+        and all(0 <= p < n_planes for p in planes)
+    ):
+        raise UnreadableInputError(
+            f"heatmap planes must be strictly increasing indices below {n_planes}"
+        )
+    plane_size = grid_size * grid_size
+    if len(raw) != len(planes) * plane_size * 8:
+        raise UnreadableInputError(
+            f"heatmap data holds {len(raw)} bytes, not the {len(planes) * plane_size * 8} "
+            f"of {len(planes)} planes"
+        )
+    data = np.zeros(shape)
+    data.reshape(n_planes, plane_size)[planes] = np.frombuffer(raw, "<f8").reshape(
+        len(planes), plane_size
     )
+    return HeatmapSet(data, room_ids, grid_size, room_frames)
 
 
 def sample_to_dict(s: BsgSample) -> dict:
@@ -461,8 +517,8 @@ def save_dataset(
     for i, s in enumerate(samples):
         name = f"sample_{i:05d}.json"
         names[id(s)] = name
-        with open(out_dir / "samples" / name, "w", encoding="utf-8") as f:
-            json.dump(sample_to_dict(s), f)
+        # json.dumps encodes in C; json.dump would use the pure-Python encoder
+        (out_dir / "samples" / name).write_text(json.dumps(sample_to_dict(s)), encoding="utf-8")
     manifest = {
         "version": FORMAT_VERSION,
         "grid_size": grid_size,
@@ -477,13 +533,60 @@ def save_dataset(
         json.dump(manifest, f, indent=1, sort_keys=True)
 
 
+def _check_version(doc, what: str) -> None:
+    if not isinstance(doc, dict):
+        raise UnreadableInputError(f"{what} does not hold a JSON object")
+    if doc.get("version") != FORMAT_VERSION:
+        raise ConfigMismatchError(
+            f"{what} has format version {doc.get('version')!r}; only version "
+            f"{FORMAT_VERSION} can be read: regenerate the dataset"
+        )
+
+
+def _load_sample(path: Path, grid_size, catalog_hash) -> BsgSample:
+    """The sample in path, checked against its manifest's grid size and catalog."""
+    doc = read_json(path)
+    _check_version(doc, f"dataset sample {path}")
+    try:
+        s = sample_from_dict(doc)
+    except UnreadableInputError as e:
+        raise UnreadableInputError(f"dataset sample {path}: {e}") from e
+    except (KeyError, TypeError, ValueError) as e:
+        raise UnreadableInputError(f"unreadable dataset sample {path}: {e!r}") from e
+    # heatmaps_from_dict has matched the last two shape axes to grid_size
+    for h in (s.input_heatmaps, s.target_heatmaps):
+        if h.grid_size != grid_size:
+            raise ConfigMismatchError(
+                f"dataset sample {path}: grid size {h.grid_size} "
+                f"!= manifest grid size {grid_size}"
+            )
+    if s.graph.catalog.hash() != catalog_hash:
+        raise ConfigMismatchError(f"dataset sample {path}: catalog hash differs from the manifest's")
+    return s
+
+
 def load_dataset(in_dir):
-    """Read a dataset directory; returns (manifest, {split: [BsgSample]})."""
+    """Read a dataset directory; returns (manifest, {split: [BsgSample]}).
+
+    The manifest and every sample must be of format version FORMAT_VERSION,
+    and every sample of the manifest's grid size and catalog; otherwise
+    ConfigMismatchError. A file that is not a well-formed manifest or sample
+    raises UnreadableInputError.
+    """
     in_dir = Path(in_dir)
-    manifest = read_json(in_dir / "manifest.json")
-    splits = {}
-    for split_name, file_names in manifest["splits"].items():
-        splits[split_name] = [
-            sample_from_dict(read_json(in_dir / "samples" / name)) for name in file_names
-        ]
+    path = in_dir / "manifest.json"
+    manifest = read_json(path)
+    _check_version(manifest, f"dataset manifest {path}")
+    try:
+        grid_size, catalog_hash = manifest["grid_size"], manifest["catalog_hash"]
+        paths = {
+            split: [in_dir / "samples" / name for name in names]
+            for split, names in manifest["splits"].items()
+        }
+    except (AttributeError, KeyError, TypeError) as e:
+        raise UnreadableInputError(f"unreadable dataset manifest {path}: {e!r}") from e
+    splits = {
+        split: [_load_sample(p, grid_size, catalog_hash) for p in split_paths]
+        for split, split_paths in paths.items()
+    }
     return manifest, splits

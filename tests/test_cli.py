@@ -1,3 +1,4 @@
+import base64
 import json
 import time
 
@@ -6,10 +7,11 @@ import pytest
 
 from scenecomp.catalog import default_catalog
 from scenecomp.cli import RunConfig, main
-from scenecomp.dataset import generate_synthetic_scene, template_by_name
+from scenecomp.dataset import generate_synthetic_scene, heatmaps_to_dict, template_by_name
 from scenecomp.graphs import augment, make_belief_graph, rooms_of, save_graph
 from scenecomp.layout import EMPTY, LayoutGrid
 from scenecomp.nn import ModelConfig, init_params, save_checkpoint
+from scenecomp.raster import rasterize
 from scenecomp.render import heatmap_to_pgm, layout_to_ppm
 
 
@@ -90,11 +92,12 @@ def test_generate_is_byte_deterministic(tmp_path):
     cfg_b = _write_config(tmp_path, "cb.json", dataset_dir=str(tmp_path / "b"), n_scenes=4)
     assert main(["--config", str(cfg_a), "generate"]) == 0
     assert main(["--config", str(cfg_b), "generate"]) == 0
-    for name in ("manifest.json",):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-    a_files = sorted(p.name for p in (tmp_path / "a").glob("*.json"))
-    for name in a_files:
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    a, b = (
+        {p.relative_to(d): p.read_bytes() for p in d.rglob("*.json")}
+        for d in (tmp_path / "a", tmp_path / "b")
+    )
+    assert len(a) == 5  # the manifest and four samples
+    assert a == b
 
 
 def test_grid_size_mismatch_fails(tmp_path, capsys):
@@ -207,6 +210,67 @@ def test_malformed_json_input_fails_cleanly(tmp_path, capsys, command):
     capsys.readouterr()
     assert main(["--config", str(cfg), *args]) == 1
     assert capsys.readouterr().err.startswith(f"error: unreadable JSON file {bad}: ")
+
+
+def test_config_that_is_not_an_object_rejected(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("3")
+    assert main(["--config", str(path), "generate"]) == 1
+    assert capsys.readouterr().err == f"error: config file {path} holds a JSON int, not an object\n"
+
+
+def test_layout_of_prediction_without_stamp_object_fails(tmp_path, capsys):
+    pred = tmp_path / "prediction.json"
+    pred.write_text(json.dumps({"stamp": 3, "heatmaps": {}}))
+    assert main(["--config", str(_write_config(tmp_path)), "layout", str(pred)]) == 1
+    assert capsys.readouterr().err == "error: prediction file: grid size None != configured 8\n"
+
+
+# heatmaps of a valid prediction -> malformed heatmaps, and the error they raise
+BAD_HEATMAPS = {
+    "not-an-object": (lambda h: [1], "heatmaps are not a JSON object"),
+    "dense-version-1": (
+        lambda h: {k: v for k, v in h.items() if k != "planes"},
+        "heatmaps lack the keys ['planes']",
+    ),
+    "rank-3-shape": (lambda h: {**h, "shape": h["shape"][1:]}, "heatmaps of shape [35, 8, 8] do not fit"),
+    "shape-vs-rooms": (
+        lambda h: {**h, "shape": [3, *h["shape"][1:]]},
+        "heatmaps of shape [3, 35, 8, 8] do not fit 2 rooms",
+    ),
+    "shape-vs-grid": (lambda h: {**h, "grid_size": 16}, "fit 2 rooms and 2 frames at grid size 16"),
+    "planes-descending": (lambda h: {**h, "planes": h["planes"][::-1]}, "must be strictly increasing"),
+    "planes-repeated": (lambda h: {**h, "planes": h["planes"][:1] + h["planes"]}, "strictly increasing"),
+    "plane-out-of-range": (lambda h: {**h, "planes": h["planes"][:-1] + [70]}, "indices below 70"),
+    "negative-plane": (lambda h: {**h, "planes": [-1] + h["planes"][1:]}, "indices below 70"),
+    "short-data": (
+        lambda h: {**h, "data_b64": base64.b64encode(base64.b64decode(h["data_b64"])[8:]).decode()},
+        "heatmap data holds",
+    ),
+    "data-not-text": (lambda h: {**h, "data_b64": 3}, "unreadable heatmaps"),
+}
+
+
+@pytest.mark.parametrize("command", ["layout", "render"])
+@pytest.mark.parametrize("case", ["no-heatmaps", *BAD_HEATMAPS])
+def test_malformed_prediction_fails_cleanly(tmp_path, capsys, command, case):
+    cfg = _write_config(tmp_path)
+    catalog = default_catalog()
+    g = generate_synthetic_scene((template_by_name("kitchen"),), 2, 5, catalog)
+    heat, _ = rasterize(g, 8)
+    doc = {"stamp": {"S": 8, "catalog_hash": catalog.hash()}, "heatmaps": heatmaps_to_dict(heat)}
+    if case == "no-heatmaps":
+        del doc["heatmaps"]
+        message = {"layout": "holds no heatmaps", "render": "neither a prediction nor a layout"}[command]
+    else:
+        change, message = BAD_HEATMAPS[case]
+        doc["heatmaps"] = change(doc["heatmaps"])
+    pred = tmp_path / "prediction.json"
+    pred.write_text(json.dumps(doc))
+    assert main(["--config", str(cfg), command, str(pred)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_predict_rejects_non_belief_graph(tmp_path, capsys):

@@ -1,8 +1,16 @@
+import base64
+import json
+import shutil
+
 import numpy as np
 import pytest
 
+from scenecomp.catalog import default_catalog
+from scenecomp.cli import main
 from scenecomp.dataset import (
     generate_synthetic_scene,
+    heatmaps_from_dict,
+    heatmaps_to_dict,
     last_skip_count,
     load_dataset,
     make_sample,
@@ -13,9 +21,9 @@ from scenecomp.dataset import (
     splitmix64,
     template_by_name,
 )
-from scenecomp.errors import BadRatiosError, EmptyGraphError
+from scenecomp.errors import BadRatiosError, ConfigMismatchError, EmptyGraphError
 from scenecomp.graphs import GROUND_TRUTH, OBJECT, build_graph, rooms_of
-from scenecomp.raster import rasterize, room_frame
+from scenecomp.raster import HeatmapSet, rasterize, room_frame
 
 from conftest import simple_graph, toy_samples
 
@@ -163,3 +171,145 @@ def test_dataset_dir_round_trip(tmp_path, small_catalog, toy_template):
 def test_splitmix_spread():
     seeds = [splitmix64(123, i) for i in range(1000)]
     assert len(set(seeds)) == 1000
+
+
+# --- heatmap encoding -----------------------------------------------------
+
+# The dense encoder of dataset format version 1, kept verbatim as the oracle.
+def _array_to_b64(a: np.ndarray) -> str:
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
+
+
+def dense_heatmaps_to_dict(h: HeatmapSet) -> dict:
+    return {
+        "room_ids": list(h.room_ids),
+        "grid_size": h.grid_size,
+        "room_frames": [list(f) for f in h.room_frames],
+        "shape": list(h.data.shape),
+        "data_b64": _array_to_b64(h.data),
+    }
+
+
+def _dense_data(d: dict) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(d["data_b64"]), dtype="<f8").reshape(d["shape"])
+
+
+def _heatmap_sets(case, small_catalog, toy_template):
+    samples = toy_samples(small_catalog, toy_template, n=3, grid_size=8)
+    generated = [h for s in samples for h in (s.input_heatmaps, s.target_heatmaps)]
+    h = generated[0]
+    if case == "generated":
+        return generated
+    if case == "negative-zero":
+        data = h.data.copy()
+        absent = int(np.flatnonzero(data[0].sum(axis=(1, 2)) == 0)[0])
+        data[0, absent] = -0.0
+        return [HeatmapSet(data, h.room_ids, h.grid_size, h.room_frames)]
+    if case == "all-zero":
+        return [HeatmapSet(np.zeros_like(h.data), h.room_ids, h.grid_size, h.room_frames)]
+    assert case == "roomless"
+    return [HeatmapSet(np.zeros((0, small_catalog.n, 8, 8)), (), 8, ())]
+
+
+@pytest.mark.parametrize("case", ["generated", "negative-zero", "all-zero", "roomless"])
+def test_sparse_heatmaps_match_dense_oracle(small_catalog, toy_template, case):
+    for h in _heatmap_sets(case, small_catalog, toy_template):
+        d = json.loads(json.dumps(heatmaps_to_dict(h)))
+        dense = dense_heatmaps_to_dict(h)
+        assert {k: d[k] for k in dense if k != "data_b64"} == {
+            k: v for k, v in dense.items() if k != "data_b64"
+        }
+        planes = h.data.reshape(-1, 64)
+        assert d["planes"] == [i for i, p in enumerate(planes) if p.view(np.int64).any()]
+        back = heatmaps_from_dict(d)
+        assert back.data.shape == h.data.shape
+        assert back.data.tobytes() == _dense_data(dense).tobytes() == h.data.tobytes()
+        assert (back.room_ids, back.grid_size, back.room_frames) == (
+            h.room_ids,
+            h.grid_size,
+            h.room_frames,
+        )
+
+
+def _write_config(tmp_path, name, **values):
+    cfg = {"checkpoint": str(tmp_path / "checkpoint.json"), "output_dir": str(tmp_path / "out")}
+    cfg.update(grid_size=8, seed=3, n_scenes=4, n_rooms=2, hidden=8, epochs=1)
+    cfg.update(values)
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def _generate(tmp_path, grid_size):
+    ds = tmp_path / f"ds{grid_size}"
+    cfg = _write_config(tmp_path, f"c{grid_size}.json", dataset_dir=str(ds), grid_size=grid_size)
+    assert main(["--config", str(cfg), "generate"]) == 0
+    return cfg, ds
+
+
+def _rewrite(path, change):
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _to_version_1(doc):
+    doc["version"] = 1
+    for key in ("input_heatmaps", "target_heatmaps"):
+        doc[key] = dense_heatmaps_to_dict(heatmaps_from_dict(doc[key]))
+
+
+@pytest.mark.parametrize("whole", [True, False], ids=["dataset", "one-sample"])
+def test_version_1_dataset_refused(tmp_path, capsys, whole):
+    cfg, ds = _generate(tmp_path, 8)
+    sample = sorted((ds / "samples").iterdir())[1]
+    _rewrite(sample, _to_version_1)
+    if whole:
+        for other in (ds / "samples").iterdir():
+            if other != sample:
+                _rewrite(other, _to_version_1)
+        _rewrite(ds / "manifest.json", lambda m: m.update(version=1))
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "train"]) == 1
+    err = capsys.readouterr().err
+    what = "dataset manifest" if whole else f"dataset sample {sample}"
+    assert err.startswith(f"error: {what}")
+    assert "has format version 1; only version 2 can be read: regenerate" in err
+
+
+def test_sample_of_other_grid_size_refused(tmp_path, capsys):
+    cfg, ds = _generate(tmp_path, 32)
+    _, small = _generate(tmp_path, 16)
+    sample = sorted((ds / "samples").iterdir())[0]
+    shutil.copyfile(small / "samples" / sample.name, sample)
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "train"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: dataset sample {sample}: grid size 16 != manifest grid size 32\n"
+    )
+
+
+def test_sample_of_other_catalog_refused(tmp_path, small_catalog, toy_template):
+    samples = toy_samples(small_catalog, toy_template, n=2, grid_size=8)
+    save_dataset(samples, split_dataset(samples, seed=0), tmp_path, 8, default_catalog(), 0)
+    with pytest.raises(ConfigMismatchError, match="catalog hash differs from the manifest's"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "file, change, message",
+    [
+        ("manifest.json", lambda d: d.pop("splits"), "unreadable dataset manifest"),
+        ("manifest.json", lambda d: d.update(splits=["train"]), "unreadable dataset manifest"),
+        ("sample_00000.json", lambda d: d.pop("graph"), "unreadable dataset sample"),
+        ("sample_00000.json", lambda d: d["target_heatmaps"].pop("planes"), "lack the keys ['planes']"),
+    ],
+    ids=["manifest-without-splits", "splits-not-an-object", "sample-without-graph", "dense-heatmaps"],
+)
+def test_malformed_dataset_fails_cleanly(tmp_path, capsys, file, change, message):
+    cfg, ds = _generate(tmp_path, 8)
+    _rewrite(ds / file if file == "manifest.json" else ds / "samples" / file, change)
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "train"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
