@@ -167,6 +167,33 @@ def _prediction_heatmaps(doc: dict, path) -> HeatmapSet:
         raise UnreadableInputError(f"prediction file {path}: {e}") from e
 
 
+def _blind_counts(doc: dict, heat: HeatmapSet, path) -> dict:
+    """The prediction document's blind counts: {str(room id): [(class, count)]}.
+
+    `blind_counts` is optional. When present it must map room ids of the
+    heatmaps to objects that map catalog class indices to non-negative
+    ints; anything else raises UnreadableInputError naming the file.
+    """
+    blind = doc.get("blind_counts", {})
+    rooms = {str(r) for r in heat.room_ids}
+    classes = {str(c): c for c in range(default_catalog().n)}
+    ok = isinstance(blind, dict) and all(
+        room in rooms
+        and isinstance(per_class, dict)
+        and all(ci in classes and type(n) is int and n >= 0 for ci, n in per_class.items())
+        for room, per_class in blind.items()
+    )
+    if not ok:
+        raise UnreadableInputError(
+            f"prediction file {path}: blind_counts must map the heatmaps' room ids to "
+            f"objects of class index (below {len(classes)}) -> non-negative int"
+        )
+    return {
+        room: [(classes[ci], n) for ci, n in per_class.items()]
+        for room, per_class in blind.items()
+    }
+
+
 def cmd_generate(cfg: RunConfig) -> None:
     if cfg.n_scenes <= 0:
         raise SceneCompError("n_scenes must be positive")
@@ -316,17 +343,14 @@ def cmd_layout(cfg: RunConfig, prediction_path) -> None:
     doc = _read_object(path)
     _check_stamp(doc, cfg, "prediction file")
     heat = _prediction_heatmaps(doc, path)
+    blind = _blind_counts(doc, heat, path)
     threshold = cfg.threshold if cfg.threshold is not None else default_threshold(heat.grid_size)
     rooms_out = []
     for ri, room_id in enumerate(heat.room_ids):
         frame = heat.room_frames[ri]
         grid_stack = heat.data[ri]
         lg = extract_layout(grid_stack, threshold, frame)
-        blind = [
-            (int(ci), int(n))
-            for ci, n in doc.get("blind_counts", {}).get(str(room_id), {}).items()
-        ]
-        placements = place_blind_nodes(grid_stack, blind, lg, frame)
+        placements = place_blind_nodes(grid_stack, blind.get(str(room_id), []), lg, frame)
         rooms_out.append(layout_to_dict(room_id, lg, placements))
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -344,10 +368,15 @@ def cmd_render(cfg: RunConfig, input_path) -> None:
     if "heatmaps" in doc:
         written = render_heatmaps(_prediction_heatmaps(doc, path), labels, out_dir)
     elif "rooms" in doc:
-        written = []
-        for room_doc in doc["rooms"]:
-            room_id, lg, _ = layout_from_dict(room_doc)
-            written.append(render_layout(room_id, lg, out_dir))
+        if not isinstance(doc["rooms"], list):
+            raise UnreadableInputError(f"layout file {path}: rooms are not a list")
+        rooms = []
+        for i, room_doc in enumerate(doc["rooms"]):
+            try:
+                rooms.append(layout_from_dict(room_doc)[:2])
+            except UnreadableInputError as e:
+                raise UnreadableInputError(f"layout file {path}: room {i}: {e}") from e
+        written = [render_layout(room_id, lg, out_dir) for room_id, lg in rooms]
     else:
         raise UnreadableInputError("input is neither a prediction nor a layout artifact")
     print(f"rendered {len(written)} images to {out_dir}")

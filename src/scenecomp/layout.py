@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfBoundsError
+from .errors import OutOfBoundsError, UnreadableInputError
 from .raster import Frame, cell_edges
 
 EMPTY = -1
@@ -116,11 +116,32 @@ def _rle(values: list[int]) -> list[list[int]]:
     return runs
 
 
-def _unrle(runs) -> list[int]:
-    out = []
-    for v, count in runs:
-        out.extend([v] * count)
-    return out
+def _unrle(runs, s: int) -> np.ndarray:
+    """The S x S cells that the runs [value, length] describe.
+
+    Runs that are not [value >= EMPTY, length > 0] pairs of ints, or that
+    do not cover the S x S cells exactly, raise UnreadableInputError.
+    """
+    if not isinstance(runs, list):
+        raise UnreadableInputError("layout cells are not a list of runs")
+    values, lengths = [], []
+    for r in runs:
+        # an exact type test: bool is a subclass of int
+        if not (
+            type(r) is list and len(r) == 2 and type(r[0]) is int and type(r[1]) is int
+            and r[0] >= EMPTY and r[1] > 0
+        ):
+            raise UnreadableInputError(
+                f"layout cells must be [value >= {EMPTY}, length > 0] runs of ints"
+            )
+        values.append(r[0])
+        lengths.append(r[1])
+    covered = sum(lengths)
+    if covered != s * s:
+        raise UnreadableInputError(
+            f"layout cell runs cover {covered} cells, not the {s * s} of a {s}x{s} grid"
+        )
+    return np.repeat(np.array(values, dtype=np.int64), lengths).reshape(s, s)
 
 
 def layout_to_dict(
@@ -143,20 +164,61 @@ def layout_to_dict(
     }
 
 
+_LAYOUT_KEYS = ("room_id", "S", "threshold", "cells", "placements")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_pair(v, test) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(test(e) for e in v)
+
+
 def layout_from_dict(d: dict):
-    s = int(d["S"])
-    cells = np.array(_unrle(d["cells"]), dtype=np.int64).reshape(s, s)
+    """The (room id, layout, placements) that layout_to_dict wrote.
+
+    A document of another shape raises UnreadableInputError: a missing
+    key, a grid size that is not a positive int, cell runs that are not
+    [value, length] pairs covering the S x S grid exactly, or a placement
+    without an int class, a cell inside the grid and an [x, y] position.
+    """
+    if not isinstance(d, dict):
+        raise UnreadableInputError(f"layout room is a JSON {type(d).__name__}, not an object")
+    missing = [k for k in _LAYOUT_KEYS if k not in d]
+    if missing:
+        raise UnreadableInputError(f"layout room lacks the keys {missing}")
+    s = d["S"]
+    if not _is_int(s) or s <= 0:
+        raise UnreadableInputError(f"layout grid size {s!r} is not a positive int")
+    if not _is_int(d["room_id"]) or not _is_number(d["threshold"]):
+        raise UnreadableInputError("layout room_id must be an int and threshold a number")
+    cells = _unrle(d["cells"], s)
+    placements = d["placements"]
+    if not isinstance(placements, list):
+        raise UnreadableInputError("layout placements are not a list")
+    for i, p in enumerate(placements):
+        if not (
+            isinstance(p, dict)
+            and _is_int(p.get("class")) and p["class"] >= 0
+            and _is_pair(p.get("cell"), lambda c: _is_int(c) and 0 <= c < s)
+            and _is_pair(p.get("xy"), _is_number)
+            and isinstance(p.get("low_support", False), bool)
+        ):
+            raise UnreadableInputError(
+                f"layout placement {i} needs a class >= 0, a cell [i, j] inside the "
+                f"{s}x{s} grid, an xy [x, y] and at most a boolean low_support"
+            )
     layout = LayoutGrid(cells, float(d["threshold"]))
     placements = [
-        Placement(
-            int(p["class"]),
-            tuple(p["cell"]),
-            tuple(p["xy"]),
-            bool(p.get("low_support", False)),
-        )
-        for p in d["placements"]
+        Placement(p["class"], tuple(p["cell"]), tuple(p["xy"]), p.get("low_support", False))
+        for p in placements
     ]
-    return int(d["room_id"]), layout, placements
+    return d["room_id"], layout, placements
 
 
 def save_layout(path, room_id: int, layout: LayoutGrid, placements: list[Placement]):

@@ -8,6 +8,11 @@ against the raw network output. An encoded sample therefore holds the room
 rows' features alone, and the network is asked for the room rows' outputs
 alone (`nn.forward`'s `rows`); every node still takes part in message
 passing.
+
+The room rows are themselves mostly zero: a class absent from a room has
+an all-zero heatmap plane, and a present object covers only a few cells.
+They are stored as a CSR matrix from encoding through batching, so the
+network's first layer works in proportion to their non-zeros.
 """
 from __future__ import annotations
 
@@ -54,7 +59,7 @@ def new_model(
 @dataclass
 class EncodedSample:
     a_hat: sp.csr_matrix
-    x: np.ndarray  # [n_rooms, input_width]: the room rows' features
+    x: sp.csr_matrix  # [n_rooms, input_width]: the room rows' features
     room_rows: np.ndarray  # the room nodes' rows in a_hat, in the order of x
     room_ids: tuple[int, ...]
     target: np.ndarray  # [n_rooms, output_width]
@@ -66,7 +71,12 @@ def encode_inputs(sample: BsgSample, model: CompositionModel) -> EncodedSample:
 
     Row ri of x holds room ri's flattened heatmaps, its counts and, for the
     ontology variant, its affinity-mixed heatmaps; every other node's
-    features are zero and are not stored.
+    features are zero and are not stored. x is CSR with sorted column
+    indices and no stored zeros, built one room at a time from the room's
+    present planes (those with a non-zero cell). Its heatmaps' non-zeros
+    all lie in them, and the mix reads only them: the absent planes add
+    exact zeros to each sum, so the values are those of the mix over every
+    plane.
     """
     cfg = model.config
     if sample.input_heatmaps.grid_size != cfg.grid_size:
@@ -86,16 +96,34 @@ def encode_inputs(sample: BsgSample, model: CompositionModel) -> EncodedSample:
     a_hat = nn.normalized_adjacency(g, node_ids)
     index = {nid: i for i, nid in enumerate(node_ids)}
     heat = sample.input_heatmaps
-    n_rooms, block = len(heat.room_ids), cfg.n_classes * cfg.grid_size ** 2
-    x = np.empty((n_rooms, cfg.input_width))
-    x[:, :block] = heat.data.reshape(n_rooms, block)
-    x[:, block : block + cfg.n_classes] = sample.counts.data
-    if cfg.variant == BASE_ONT:
-        for ri in range(n_rooms):
-            mixed = np.einsum("ij,jxy->ixy", model.affinity.matrix, heat.data[ri])
-            x[ri, block + cfg.n_classes :] = mixed.ravel()
+    n_rooms, plane = len(heat.room_ids), cfg.grid_size ** 2
+    block = cfg.n_classes * plane
+    # the leading empty arrays give a room-less sample something to concatenate
+    indptr, indices, data = [0], [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
+    for ri in range(n_rooms):
+        h = heat.data[ri]
+        present = np.flatnonzero(h.any(axis=(1, 2)))
+        h_present = h[present]
+        counts = sample.counts.data[ri]
+        nz, nz_counts = np.flatnonzero(h_present), np.flatnonzero(counts)
+        # the non-zeros' (plane, cell) in h_present, as columns of x
+        cols = [present[nz // plane] * plane + nz % plane, block + nz_counts]
+        vals = [h_present.ravel()[nz], counts[nz_counts]]
+        if cfg.variant == BASE_ONT:
+            mixed = np.einsum("ij,jxy->ixy", model.affinity.matrix[:, present], h_present).ravel()
+            nz = np.flatnonzero(mixed)
+            cols.append(block + cfg.n_classes + nz)
+            vals.append(mixed[nz])
+        indices += cols
+        data += vals
+        indptr.append(indptr[-1] + sum(len(c) for c in cols))
+    x = sp.csr_matrix(
+        (np.concatenate(data, dtype=np.float64), np.concatenate(indices, dtype=np.int32),
+         np.array(indptr, dtype=np.int32)),
+        shape=(n_rooms, cfg.input_width),
+    )
     room_rows = np.array([index[rid] for rid in heat.room_ids], dtype=np.intp)
-    target = sample.target_heatmaps.data.reshape(len(heat.room_ids), -1)
+    target = sample.target_heatmaps.data.reshape(n_rooms, cfg.output_width)
     return EncodedSample(a_hat, x, room_rows, heat.room_ids, target, sample)
 
 
@@ -160,29 +188,41 @@ class TrainConfig:
             raise ValueError("train config values must be positive")
 
 
+def _stack_csr(mats: list[sp.csr_matrix], diagonal: bool) -> sp.csr_matrix:
+    """The CSR matrices stacked row-wise by concatenating their arrays.
+
+    With diagonal, each matrix's columns follow the previous ones' (the
+    same matrix, entry for entry, as sp.block_diag(..., format="csr"));
+    otherwise all share the first's columns (as sp.vstack(..., format="csr")).
+    """
+    indptr, indices = [np.zeros(1, dtype=np.int32)], []
+    nnz = n_cols = 0
+    for m in mats:
+        indptr.append(m.indptr[1:] + nnz)
+        indices.append(m.indices + n_cols if diagonal else m.indices)
+        nnz += m.nnz
+        if diagonal:
+            n_cols += m.shape[1]
+    return sp.csr_matrix(
+        (np.concatenate([m.data for m in mats]), np.concatenate(indices), np.concatenate(indptr)),
+        shape=(sum(m.shape[0] for m in mats), n_cols if diagonal else mats[0].shape[1]),
+    )
+
+
 def _batch(encoded: list[EncodedSample]):
     """Stack several graphs into one block-diagonal message-passing problem.
 
     Returns (adjacency over every node, room-row features, room-row indices
     into the adjacency, room-row targets); the features and targets are in
-    the order of the indices. The adjacency is each graph's CSR arrays
-    concatenated with offsets: the same matrix, entry for entry, as
-    sp.block_diag(..., format="csr").
+    the order of the indices. The adjacency is block-diagonal and the
+    features (CSR) are row-stacked, both by concatenating CSR arrays.
     """
-    indptr, indices, data, rows = [np.zeros(1, dtype=np.int32)], [], [], []
-    n = nnz = 0
+    rows, n = [], 0
     for e in encoded:
-        a = e.a_hat
-        indptr.append(a.indptr[1:] + nnz)
-        indices.append(a.indices + n)
-        data.append(a.data)
         rows.append(e.room_rows + n)
-        n, nnz = n + a.shape[0], nnz + a.nnz
-    a = sp.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)),
-        shape=(n, n),
-    )
-    x = np.vstack([e.x for e in encoded])
+        n += e.a_hat.shape[0]
+    a = _stack_csr([e.a_hat for e in encoded], diagonal=True)
+    x = _stack_csr([e.x for e in encoded], diagonal=False)
     target = np.vstack([e.target for e in encoded])
     return a, x, np.concatenate(rows), target
 

@@ -13,6 +13,10 @@ and computes just what they need. The first layer multiplies the non-zero
 rows by its weights before propagating them, as Kipf & Welling (2017)
 suggest for sparse features, and the last layer propagates into the read
 rows only. `backward` never forms the gradient w.r.t. the input features.
+Those rows are mostly zero as well, and `scenecomp.model` passes them as a
+CSR matrix: layer 0's two products with them, x @ w0 forward and
+x.T @ (a.T @ d_z) backward, are then sparse x dense, with work in
+proportion to their non-zeros. The same expressions take a dense x.
 
 `adam_step` updates the parameters and moments in place. Its elementwise
 passes run over one L2-sized block (`ADAM_BLOCK` elements) at a time
@@ -151,7 +155,7 @@ def _check_finite(name: str, *arrays) -> None:
 
 def forward(
     a_hat,
-    x: np.ndarray,
+    x,
     params: dict,
     stats: dict,
     config: ModelConfig,
@@ -161,13 +165,14 @@ def forward(
 ):
     """Run the layer stack; returns (output, cache) where cache feeds backward.
 
-    rows, when given, says that x holds the features of these node rows
-    only (every other node's features are zero) and asks for these rows of
-    the output only. Layer 0 then propagates from those rows alone,
-    a_hat[:, rows] @ (x @ w0), and the last layer computes only
-    a_hat[rows] @ h @ w + b. Hidden layers run over every node, so batch
-    statistics and dropout masks do not depend on rows. rows=None means
-    every node.
+    x is a scipy CSR matrix or a dense array; layer 0's x @ w0 is a
+    sparse x dense product for the former. rows, when given, says that x
+    holds the features of these node rows only (every other node's
+    features are zero) and asks for these rows of the output only. Layer 0
+    then propagates from those rows alone, a_hat[:, rows] @ (x @ w0), and
+    the last layer computes only a_hat[rows] @ h @ w + b. Hidden layers run
+    over every node, so batch statistics and dropout masks do not depend on
+    rows. rows=None means every node.
 
     In train mode batch norm uses batch statistics (updating the running
     stats in place) and dropout is applied when a dropout_rng is given.
@@ -226,7 +231,8 @@ def backward(d_out: np.ndarray, params: dict, cache: dict, config: ModelConfig) 
 
     d_out is the loss gradient at the rows forward returned. The gradient
     w.r.t. the input features is not formed: layer 0's weight gradient is
-    x.T @ (a.T @ d_z), which needs only the rows forward propagated from.
+    x.T @ (a.T @ d_z), which needs only the rows forward propagated from
+    and, for a CSR x, is a sparse x dense product over x's non-zeros.
     """
     grads = {}
     d_h = d_out

@@ -8,8 +8,17 @@ import pytest
 from scenecomp.catalog import default_catalog
 from scenecomp.cli import RunConfig, main
 from scenecomp.dataset import generate_synthetic_scene, heatmaps_to_dict, template_by_name
-from scenecomp.graphs import augment, make_belief_graph, rooms_of, save_graph
-from scenecomp.layout import EMPTY, LayoutGrid
+from scenecomp.graphs import (
+    BELIEF,
+    BUILDING,
+    SceneNode,
+    augment,
+    build_graph,
+    make_belief_graph,
+    rooms_of,
+    save_graph,
+)
+from scenecomp.layout import EMPTY, LayoutGrid, Placement, layout_to_dict
 from scenecomp.nn import ModelConfig, init_params, save_checkpoint
 from scenecomp.raster import rasterize
 from scenecomp.render import heatmap_to_pgm, layout_to_ppm
@@ -135,6 +144,19 @@ def test_predict_rejects_wrong_shape_checkpoint(tmp_path, capsys):
     assert main(["--config", str(cfg), "predict", str(graph)]) == 1
     assert "checkpoint params entry b4 has shape [1]" in capsys.readouterr().err
     assert not (tmp_path / "out" / "prediction.json").exists()
+
+
+def test_predict_of_room_less_belief_graph_writes_empty_prediction(tmp_path):
+    # the encoder once failed reshaping the empty target of such a graph
+    cfg = _write_config(tmp_path)
+    config = ModelConfig(n_classes=default_catalog().n, grid_size=8, hidden=8)
+    save_checkpoint(tmp_path / "checkpoint.json", config, *init_params(config), default_catalog().hash())
+    graph = tmp_path / "building.json"
+    save_graph(build_graph([SceneNode(0, BUILDING)], [], BELIEF, default_catalog()), graph)
+    assert main(["--config", str(cfg), "predict", str(graph)]) == 0
+    doc = json.loads((tmp_path / "out" / "prediction.json").read_text())
+    assert doc["heatmaps"]["shape"] == [0, default_catalog().n, 8, 8]
+    assert doc["blind_counts"] == {}
 
 
 def test_train_is_byte_deterministic(tmp_path, monkeypatch):
@@ -271,6 +293,105 @@ def test_malformed_prediction_fails_cleanly(tmp_path, capsys, command, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+# blind_counts of a prediction whose heatmaps hold rooms 1 and 9 (any other
+# key is no room of it), each malformed
+BAD_BLIND_COUNTS = {
+    "not-an-object": 3,
+    "room-not-an-object": {"1": 3},
+    "unknown-room": {"1": {"0": 1}, "99": {"0": 1}},
+    "class-out-of-catalog": {"1": {"35": 1}},
+    "class-not-an-index": {"1": {"chair": 1}},
+    "negative-count": {"1": {"0": -1}},
+    "float-count": {"1": {"0": 1.5}},
+    "bool-count": {"1": {"0": True}},
+}
+
+
+@pytest.mark.parametrize("case", BAD_BLIND_COUNTS)
+def test_layout_of_malformed_blind_counts_fails_cleanly(tmp_path, capsys, case):
+    catalog = default_catalog()
+    g = generate_synthetic_scene((template_by_name("kitchen"),), 2, 5, catalog)
+    heat, _ = rasterize(g, 8)
+    assert [str(r) for r in heat.room_ids] == ["1", "9"]
+    pred = tmp_path / "prediction.json"
+    pred.write_text(json.dumps({
+        "stamp": {"S": 8, "catalog_hash": catalog.hash()},
+        "heatmaps": heatmaps_to_dict(heat),
+        "blind_counts": BAD_BLIND_COUNTS[case],
+    }))
+    assert main(["--config", str(_write_config(tmp_path)), "layout", str(pred)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: prediction file {pred}: blind_counts must map")
+    assert not (tmp_path / "out").exists()
+
+
+def _room_doc():
+    cells = np.full((4, 4), EMPTY, dtype=int)
+    cells[1, 2] = 3
+    return layout_to_dict(7, LayoutGrid(cells, 0.1), [Placement(3, (1, 2), (0.5, 1.5))])
+
+
+# one room of a layout file -> a malformed room, and the error it raises
+BAD_LAYOUT_ROOMS = {
+    "not-an-object": (lambda r: [r], "layout room is a JSON list, not an object"),
+    "only-room-id": (lambda r: {"room_id": 1}, "lacks the keys ['S', 'threshold', 'cells', 'placements']"),
+    "size-zero": (lambda r: {**r, "S": 0}, "grid size 0 is not a positive int"),
+    "size-text": (lambda r: {**r, "S": "4"}, "grid size '4' is not a positive int"),
+    "size-float": (lambda r: {**r, "S": 4.0}, "grid size 4.0 is not a positive int"),
+    "room-id-text": (lambda r: {**r, "room_id": "7"}, "room_id must be an int"),
+    "threshold-null": (lambda r: {**r, "threshold": None}, "threshold a number"),
+    "runs-short": (lambda r: {**r, "cells": [[-1, 15]]}, "cover 15 cells, not the 16 of a 4x4 grid"),
+    "runs-long": (lambda r: {**r, "cells": r["cells"] + [[-1, 1]]}, "cover 17 cells"),
+    "run-not-a-pair": (lambda r: {**r, "cells": [[-1]]}, "runs of ints"),
+    "run-zero-length": (lambda r: {**r, "cells": [[0, 0], *r["cells"]]}, "runs of ints"),
+    "run-below-empty": (lambda r: {**r, "cells": [[-2, 16]]}, "runs of ints"),
+    "placements-object": (lambda r: {**r, "placements": {}}, "placements are not a list"),
+    "cells-object": (lambda r: {**r, "cells": {}}, "cells are not a list of runs"),
+    "placement-no-cell": (
+        lambda r: {**r, "placements": [{"class": 3, "xy": [0.5, 1.5]}]},
+        "placement 0 needs",
+    ),
+    "placement-off-grid": (
+        lambda r: {**r, "placements": [{**r["placements"][0], "cell": [1, 4]}]},
+        "cell [i, j] inside the 4x4 grid",
+    ),
+    "placement-negative-class": (
+        lambda r: {**r, "placements": [{**r["placements"][0], "class": -1}]},
+        "placement 0 needs a class >= 0",
+    ),
+    "placement-xy-triple": (
+        lambda r: {**r, "placements": [{**r["placements"][0], "xy": [0, 1, 2]}]},
+        "an xy [x, y]",
+    ),
+    "placement-low-support-text": (
+        lambda r: {**r, "placements": [{**r["placements"][0], "low_support": "no"}]},
+        "boolean low_support",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ["rooms-not-a-list", *BAD_LAYOUT_ROOMS])
+def test_render_of_malformed_layout_fails_cleanly(tmp_path, capsys, case):
+    layout = tmp_path / "layout.json"
+    if case == "rooms-not-a-list":
+        doc, prefix, message = {"rooms": 3}, f"layout file {layout}: ", "rooms are not a list"
+    else:
+        change, message = BAD_LAYOUT_ROOMS[case]
+        # the second room is the malformed one; the first is not rendered
+        doc, prefix = {"rooms": [_room_doc(), change(_room_doc())]}, f"layout file {layout}: room 1: "
+    layout.write_text(json.dumps(doc))
+    assert main(["--out", str(tmp_path / "out"), "render", str(layout)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {prefix}") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_render_of_layout_room_writes_its_image(tmp_path):
+    layout = tmp_path / "layout.json"
+    layout.write_text(json.dumps({"rooms": [_room_doc()]}))
+    assert main(["--out", str(tmp_path / "out"), "render", str(layout)]) == 0
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["room7_layout.ppm"]
 
 
 def test_predict_rejects_non_belief_graph(tmp_path, capsys):

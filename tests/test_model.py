@@ -51,8 +51,9 @@ def test_encode_room_features(catalog):
     assert [node_ids[i] for i in enc.room_rows] == list(s.input_heatmaps.room_ids)
     # room rows carry the flattened heatmaps and counts
     n, s2 = catalog.n, 8 * 8
+    x = enc.x.toarray()
     for ri in range(n_rooms):
-        row = enc.x[ri]
+        row = x[ri]
         np.testing.assert_array_equal(row[: n * s2], s.input_heatmaps.data[ri].ravel())
         np.testing.assert_array_equal(row[n * s2 : n * s2 + n], s.counts.data[ri])
 
@@ -63,7 +64,7 @@ def test_encode_identity_affinity_duplicates_block(catalog):
     m = _model(catalog, variant=BASE_ONT, affinity=aff)
     enc = encode_inputs(s, m)
     n, s2 = catalog.n, 64
-    row = enc.x[0]
+    row = enc.x.toarray()[0]
     np.testing.assert_allclose(row[n * s2 + n :], row[: n * s2], atol=1e-15)
 
 

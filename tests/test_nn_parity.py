@@ -8,6 +8,8 @@ in Adam. The reference runs with zero hidden biases, which is what
 `init_params` used to create and what the room-row network no longer has.
 `loop_normalized_adjacency` is the adjacency builder that appended edges
 in a Python loop and scaled with sparse diagonal products, also verbatim.
+`dense_encode_inputs` is the encoder that stored the room rows' features
+as a dense array, verbatim apart from its name.
 """
 import dataclasses
 
@@ -18,11 +20,24 @@ import scipy.sparse as sp
 from scenecomp import nn
 from scenecomp.catalog import default_catalog
 from scenecomp.dataset import default_templates, generate_synthetic_scene, make_sample
-from scenecomp.errors import ShapeMismatchError
-from scenecomp.graphs import BUILDING, ROOM, SceneGraph, augment
-from scenecomp.model import BASE, BASE_ONT, _batch, encode_inputs, new_model
+from scenecomp.dataset import BsgSample
+from scenecomp.errors import ConfigMismatchError, ShapeMismatchError
+from scenecomp.graphs import BELIEF, BUILDING, ROOM, SceneGraph, SceneNode, augment, build_graph
+from scenecomp.model import (
+    BASE,
+    BASE_ONT,
+    CompositionModel,
+    EncodedSample,
+    _batch,
+    encode_inputs,
+    new_model,
+    predict,
+)
 from scenecomp.nn import BN_EPS, AdamState, ModelConfig, _check_finite
 from scenecomp.ontology import class_affinity, default_ontology
+from scenecomp.raster import rasterize
+
+from conftest import simple_graph
 
 # --- reference: the dense network, verbatim --------------------------------
 
@@ -172,6 +187,44 @@ def loop_normalized_adjacency(g: SceneGraph, node_ids: list[int] | None = None) 
     return (d @ a @ d).tocsr()
 
 
+def dense_encode_inputs(sample: BsgSample, model: CompositionModel) -> EncodedSample:
+    """Room-row features and normalized adjacency for one belief-graph sample.
+
+    Row ri of x holds room ri's flattened heatmaps, its counts and, for the
+    ontology variant, its affinity-mixed heatmaps; every other node's
+    features are zero and are not stored.
+    """
+    cfg = model.config
+    if sample.input_heatmaps.grid_size != cfg.grid_size:
+        raise ConfigMismatchError(
+            f"sample grid size {sample.input_heatmaps.grid_size} != model {cfg.grid_size}"
+        )
+    if sample.graph.catalog.n != cfg.n_classes:
+        raise ConfigMismatchError(
+            f"sample catalog size {sample.graph.catalog.n} != model {cfg.n_classes}"
+        )
+    g = sample.graph
+    if cfg.rooms_only:
+        keep = {n.id for n in g.nodes if n.layer in (BUILDING, ROOM)}
+        node_ids = sorted(keep)
+    else:
+        node_ids = sorted(n.id for n in g.nodes)
+    a_hat = nn.normalized_adjacency(g, node_ids)
+    index = {nid: i for i, nid in enumerate(node_ids)}
+    heat = sample.input_heatmaps
+    n_rooms, block = len(heat.room_ids), cfg.n_classes * cfg.grid_size ** 2
+    x = np.empty((n_rooms, cfg.input_width))
+    x[:, :block] = heat.data.reshape(n_rooms, block)
+    x[:, block : block + cfg.n_classes] = sample.counts.data
+    if cfg.variant == BASE_ONT:
+        for ri in range(n_rooms):
+            mixed = np.einsum("ij,jxy->ixy", model.affinity.matrix, heat.data[ri])
+            x[ri, block + cfg.n_classes :] = mixed.ravel()
+    room_rows = np.array([index[rid] for rid in heat.room_ids], dtype=np.intp)
+    target = sample.target_heatmaps.data.reshape(len(heat.room_ids), -1)
+    return EncodedSample(a_hat, x, room_rows, heat.room_ids, target, sample)
+
+
 # --- parity ----------------------------------------------------------------
 
 GRID = 8
@@ -204,7 +257,7 @@ def _problem(variant, dropout=0.0, linear_only=False):
     encoded = [encode_inputs(s, model) for s in samples]
     a, x_rooms, rows, target = _batch(encoded)
     x_all = np.zeros((a.shape[0], x_rooms.shape[1]))
-    x_all[rows] = x_rooms
+    x_all[rows] = x_rooms.toarray()
     return model, a, x_all, x_rooms, rows, target
 
 
@@ -273,6 +326,30 @@ def test_rows_none_means_every_node(variant):
     grads = nn.backward(d_rows, params, cache, config)
     for k in grads:
         assert _rel(grads[k], grads_all[k]) < 1e-10, k
+
+
+@pytest.mark.parametrize("variant", [BASE, BASE_ONT])
+@pytest.mark.parametrize("train", [True, False])
+def test_csr_features_match_dense_features(variant, train):
+    # the same nn calls on the CSR room rows and on their dense copy
+    model, a, _, x_rooms, rows, target = _problem(variant, dropout=0.2)
+    assert isinstance(x_rooms, sp.csr_matrix)
+    config, params = model.config, model.params
+    runs = []
+    for x in (x_rooms, x_rooms.toarray()):
+        stats = _copy(model.stats)
+        out, cache = nn.forward(a, x, params, stats, config, train=train,
+                                dropout_rng=np.random.default_rng(9), rows=rows)
+        _, d_out = nn.mse_loss(out, target)
+        runs.append((out, stats, nn.backward(d_out, params, cache, config)))
+    (out, stats, grads), (out_ref, stats_ref, grads_ref) = runs
+    assert _rel(out, out_ref) < 1e-12
+    for k in stats_ref:
+        assert _rel(stats[k], stats_ref[k]) < 1e-12, k
+    assert set(grads) == set(grads_ref)
+    for k in grads:
+        assert type(grads[k]) is np.ndarray and grads[k].flags.c_contiguous, k
+        assert _rel(grads[k], grads_ref[k]) < 1e-10, k
 
 
 def test_linear_only_matches_dense():
@@ -388,5 +465,45 @@ def test_batch_adjacency_equals_block_diag(rooms_only):
     _assert_same_csr(a, sp.block_diag([e.a_hat for e in encoded], format="csr"))
     offsets = np.cumsum([0] + [e.a_hat.shape[0] for e in encoded[:-1]])
     assert np.array_equal(rows, np.concatenate([e.room_rows + o for e, o in zip(encoded, offsets)]))
-    assert np.array_equal(x, np.vstack([e.x for e in encoded]))
+    _assert_same_csr(x, sp.vstack([e.x for e in encoded], format="csr"))
     assert np.array_equal(target, np.vstack([e.target for e in encoded]))
+
+
+def _encoder_samples():
+    """Scenes, a sample with a room whose every heatmap plane is zero, and a
+    room-less sample (a building-only belief graph, as `predict` builds it)."""
+    catalog = default_catalog()
+    samples = [make_sample(g, 0.25, GRID, k) for k, g in enumerate(_scenes(4))]
+    # one of the two rooms' single object is masked, the other's is not
+    empty_room = make_sample(simple_graph(catalog, (1, 1)), 0.5, GRID, seed=0)
+    planes = empty_room.input_heatmaps.data.any(axis=(2, 3)).any(axis=1)
+    assert list(planes) in ([True, False], [False, True])
+    g = build_graph([SceneNode(0, BUILDING)], [], BELIEF, catalog)
+    heat, counts = rasterize(g, GRID)
+    return samples + [empty_room, BsgSample(g, heat, counts, heat, ())]
+
+
+@pytest.mark.parametrize("variant", [BASE, BASE_ONT])
+def test_encode_equals_dense_encoder(variant):
+    catalog = default_catalog()
+    config = ModelConfig(variant=variant, n_classes=catalog.n, grid_size=GRID, hidden=8)
+    affinity = class_affinity(default_ontology()) if variant == BASE_ONT else None
+    model = new_model(config, catalog.hash(), affinity=affinity)
+    *samples, roomless = _encoder_samples()
+    for s in samples:
+        enc, ref = encode_inputs(s, model), dense_encode_inputs(s, model)
+        assert isinstance(enc.x, sp.csr_matrix) and enc.x.shape == ref.x.shape
+        assert np.array_equal(enc.x.toarray(), ref.x)
+        assert enc.x.has_sorted_indices and np.all(enc.x.data != 0)
+        _assert_same_csr(enc.a_hat, ref.a_hat)
+        assert np.array_equal(enc.room_rows, ref.room_rows)
+        assert np.array_equal(enc.target, ref.target)
+        assert enc.room_ids == ref.room_ids
+    # the dense encoder failed on a room-less sample, reshaping its empty
+    # target to (0, -1); its features are an empty matrix
+    with pytest.raises(ValueError, match="cannot reshape"):
+        dense_encode_inputs(roomless, model)
+    enc = encode_inputs(roomless, model)
+    assert enc.x.shape == (0, config.input_width) and enc.x.nnz == 0
+    assert enc.target.shape == (0, config.output_width) and enc.room_rows.size == 0
+    assert predict(model, roomless).data.shape == (0, catalog.n, GRID, GRID)
