@@ -78,9 +78,6 @@ class ClassCatalog:
             raise UnknownClassError(f"class index out of range: {index}")
         return self.labels[index]
 
-    def __contains__(self, label: str) -> bool:
-        return label in self.labels
-
     def hash(self) -> str:
         h = hashlib.sha256("\n".join(self.labels).encode("utf-8"))
         return h.hexdigest()[:16]

@@ -1,8 +1,8 @@
 """Command-line pipeline: generate | train | eval | predict | layout | render | ontology.
 
-Every artifact embeds {S, catalog_hash, seed, tool_version}; a cross-stage
-mismatch is a hard error, never a silent recompute. Flags override config
-file values.
+Every artifact embeds {S, catalog_hash, seed, tool_version}; another stage's
+artifact of another S or catalog is a hard error, never a silent recompute.
+Flags override config file values.
 """
 from __future__ import annotations
 
@@ -128,6 +128,8 @@ def _stamp(cfg: RunConfig) -> dict:
 
 
 def _check_stamp(artifact: dict, cfg: RunConfig, what: str) -> None:
+    # S and catalog_hash decide whether the artifact's arrays fit this run;
+    # seed and tool_version are provenance, so another seed or version is read
     stamp = artifact.get("stamp")
     if not isinstance(stamp, dict):
         stamp = {}
@@ -355,8 +357,8 @@ def cmd_layout(cfg: RunConfig, prediction_path) -> None:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "layout.json"
-    with open(out, "w", encoding="utf-8") as f:
-        json.dump({"stamp": _stamp(cfg), "rooms": rooms_out}, f, indent=1)
+    # json.dumps encodes in C; json.dump would use the pure-Python encoder
+    out.write_text(json.dumps({"stamp": _stamp(cfg), "rooms": rooms_out}), encoding="utf-8")
     print(f"layout written to {out}")
 
 

@@ -10,7 +10,7 @@ import base64
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +66,6 @@ def make_sample(
     blind_fraction: float = 0.25,
     grid_size: int = DEFAULT_GRID_SIZE,
     seed: int = 0,
-    mode: str = "area",
 ) -> BsgSample:
     """Mask a random subset of objects as blind nodes and build the sample.
 
@@ -83,7 +82,7 @@ def make_sample(
 
     # Pin frames from the full graph so input and target share geometry.
     frames = {r.id: room_frame(g, r.id) for r in g.nodes_in_layer(ROOM)}
-    target, _ = rasterize(g, grid_size, mode, frames_override=frames)
+    target, _ = rasterize(g, grid_size, frames_override=frames)
 
     parent = {child: p for p, child in g.edges}
     masked = []
@@ -99,7 +98,7 @@ def make_sample(
         else:
             nodes.append(n)
     belief = build_graph(nodes, edges, BELIEF, g.catalog)
-    input_heatmaps, counts = rasterize(belief, grid_size, mode, frames_override=frames)
+    input_heatmaps, counts = rasterize(belief, grid_size, frames_override=frames)
     return BsgSample(belief, input_heatmaps, counts, target, tuple(sorted(masked)))
 
 
@@ -307,8 +306,7 @@ def generate_synthetic_scene(
 ) -> SceneGraph:
     """One building with n_rooms template-driven rooms; deterministic per seed.
 
-    Returns the graph; infeasible placements are skipped (the skip count is
-    recorded on the module-level counter returned by last_skip_count()).
+    A placement that does not fit its room is skipped.
     """
     if not templates:
         raise ValueError("need at least one template")
@@ -318,7 +316,6 @@ def generate_synthetic_scene(
     nodes = [SceneNode(0, BUILDING)]
     edges: list[tuple[int, int]] = []
     next_id = 1
-    skipped = 0
     x_cursor = 0.0
     for _ in range(n_rooms):
         tpl = rng.choice(templates)
@@ -344,7 +341,6 @@ def generate_synthetic_scene(
             for _ in range(count):
                 pos = _propose_position(rule, frame, size, placed, rng)
                 if pos is None:
-                    skipped += 1
                     continue
                 nodes.append(
                     SceneNode(
@@ -358,17 +354,7 @@ def generate_synthetic_scene(
                 edges.append((room_id, next_id))
                 next_id += 1
                 placed.setdefault(rule.class_name, []).append(pos)
-    global _LAST_SKIP_COUNT
-    _LAST_SKIP_COUNT = skipped
     return build_graph(nodes, edges, GROUND_TRUTH, catalog)
-
-
-_LAST_SKIP_COUNT = 0
-
-
-def last_skip_count() -> int:
-    """Placements skipped as infeasible during the last scene generation."""
-    return _LAST_SKIP_COUNT
 
 
 # --- splits ---------------------------------------------------------------
@@ -441,6 +427,19 @@ def heatmaps_from_dict(d: dict) -> HeatmapSet:
         raw = base64.b64decode(d["data_b64"])
     except (TypeError, ValueError) as e:  # binascii.Error is a ValueError
         raise UnreadableInputError(f"unreadable heatmaps: {e}") from e
+    # an exact type test: bool is a subclass of int
+    if not all(type(r) is int for r in room_ids) or len(set(room_ids)) != len(room_ids):
+        raise UnreadableInputError(f"heatmap room ids {list(room_ids)} are not distinct ints")
+    if not all(
+        len(f) == 4
+        and all(type(v) in (int, float) and math.isfinite(v) for v in f)
+        and f[0] < f[2] and f[1] < f[3]
+        for f in room_frames
+    ):
+        raise UnreadableInputError(
+            "each heatmap room frame must be [lo_x, lo_y, hi_x, hi_y] of finite "
+            "numbers with lo_x < hi_x and lo_y < hi_y"
+        )
     if (
         len(shape) != 4
         or min(shape) < 0

@@ -1,7 +1,6 @@
 """Discrete room layouts and blind-node placement from predicted heatmaps."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,8 +218,3 @@ def layout_from_dict(d: dict):
         for p in placements
     ]
     return d["room_id"], layout, placements
-
-
-def save_layout(path, room_id: int, layout: LayoutGrid, placements: list[Placement]):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(layout_to_dict(room_id, layout, placements), f, indent=1)

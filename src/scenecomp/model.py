@@ -17,7 +17,7 @@ network's first layer works in proportion to their non-zeros.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,9 +61,7 @@ class EncodedSample:
     a_hat: sp.csr_matrix
     x: sp.csr_matrix  # [n_rooms, input_width]: the room rows' features
     room_rows: np.ndarray  # the room nodes' rows in a_hat, in the order of x
-    room_ids: tuple[int, ...]
     target: np.ndarray  # [n_rooms, output_width]
-    sample: BsgSample
 
 
 def encode_inputs(sample: BsgSample, model: CompositionModel) -> EncodedSample:
@@ -124,7 +122,7 @@ def encode_inputs(sample: BsgSample, model: CompositionModel) -> EncodedSample:
     )
     room_rows = np.array([index[rid] for rid in heat.room_ids], dtype=np.intp)
     target = sample.target_heatmaps.data.reshape(n_rooms, cfg.output_width)
-    return EncodedSample(a_hat, x, room_rows, heat.room_ids, target, sample)
+    return EncodedSample(a_hat, x, room_rows, target)
 
 
 def raw_outputs(model: CompositionModel, enc: EncodedSample) -> np.ndarray:
@@ -145,21 +143,14 @@ def postprocess(
     classes are renormalized to sum 1 (uniform fallback when the clamped
     output carries no mass).
     """
-    n_rooms = raw_rooms.shape[0]
     s = config.grid_size
-    grids = raw_rooms.reshape(n_rooms, config.n_classes, s, s).copy()
-    np.clip(grids, 0.0, None, out=grids)
-    counts = sample.counts.data
-    for ri in range(n_rooms):
-        for ci in range(config.n_classes):
-            if counts[ri, ci] <= 0:
-                grids[ri, ci] = 0.0
-                continue
-            total = grids[ri, ci].sum()
-            if total > 0:
-                grids[ri, ci] /= total
-            else:
-                grids[ri, ci] = 1.0 / (s * s)
+    grids = np.clip(raw_rooms.reshape(-1, config.n_classes, s, s), 0.0, None)
+    totals = grids.sum(axis=(2, 3))
+    present = sample.counts.data > 0
+    has_mass = present & (totals > 0)
+    grids[~present] = 0.0
+    grids[has_mass] /= totals[has_mass][:, None, None]
+    grids[present & ~has_mass] = 1.0 / (s * s)
     return HeatmapSet(
         grids,
         sample.input_heatmaps.room_ids,
@@ -181,7 +172,6 @@ class TrainConfig:
     lr: float = 1e-5
     lr_decay: float = 1e-8
     seed: int = 0
-    patience: int | None = None  # early stop on validation loss; off by default
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size <= 0 or self.lr <= 0 or self.lr_decay < 0:
@@ -258,7 +248,6 @@ def train(
     history = []
     best_val = float("inf")
     best = None
-    bad_epochs = 0
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(len(enc_train))
         epoch_losses = []
@@ -275,15 +264,9 @@ def train(
             epoch_losses.append(loss)
         val = validation_loss(model, enc_val) if enc_val else None
         history.append({"epoch": epoch, "train": float(np.mean(epoch_losses)), "val": val})
-        if enc_val:
-            if val < best_val:
-                best_val = val
-                best = (copy.deepcopy(model.params), copy.deepcopy(model.stats))
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-                if cfg.patience is not None and bad_epochs > cfg.patience:
-                    break
+        if enc_val and val < best_val:
+            best_val = val
+            best = (copy.deepcopy(model.params), copy.deepcopy(model.stats))
     if best is not None:
         model.params, model.stats = best
     return model, history

@@ -454,8 +454,6 @@ def save_checkpoint(
         "version": CHECKPOINT_VERSION,
         "config": asdict(config),
         "catalog_hash": catalog_hash,
-        "grid_size": config.grid_size,
-        "variant": config.variant,
     }
     sections = {"params": params, "stats": stats}
     if adam is not None:

@@ -31,9 +31,6 @@ class HeatmapSet:
     grid_size: int
     room_frames: tuple[Frame, ...]
 
-    def room_index(self, room_id: int) -> int:
-        return self.room_ids.index(room_id)
-
     def validate(self, atol: float = 1e-9) -> None:
         if self.data.ndim != 4:
             raise ValueError("heatmap data must be rank 4")
@@ -51,9 +48,6 @@ class ObjectCounts:
 
     data: np.ndarray
     room_ids: tuple[int, ...]
-
-    def room_index(self, room_id: int) -> int:
-        return self.room_ids.index(room_id)
 
 
 def room_frame(g: SceneGraph, room_id: int) -> Frame:
@@ -98,29 +92,15 @@ def object_footprint(
     position: tuple[float, float, float],
     dimensions: tuple[float, float, float],
     grid_size: int,
-    mode: str = "area",
 ) -> np.ndarray:
     """Single-object distribution over the room grid, summing to 1.
 
-    "area" spreads the AABB footprint over overlapped cells proportionally
-    to overlap area; "center" puts all mass in the cell holding the center.
-    Objects fully outside the frame get a uniform in-room footprint so that
-    counts and heatmaps stay consistent.
+    The AABB footprint is spread over the overlapped cells in proportion to
+    the overlap area. Objects fully outside the frame get a uniform in-room
+    footprint so that counts and heatmaps stay consistent.
     """
     S = grid_size
     ex, ey = cell_edges(frame, S)
-    if mode == "center":
-        cx = np.clip(position[0], frame[0], np.nextafter(frame[2], frame[0]))
-        cy = np.clip(position[1], frame[1], np.nextafter(frame[3], frame[1]))
-        if not (frame[0] <= position[0] <= frame[2] and frame[1] <= position[1] <= frame[3]):
-            return np.full((S, S), 1.0 / (S * S))
-        ix = min(int(np.searchsorted(ex, cx, side="right")) - 1, S - 1)
-        iy = min(int(np.searchsorted(ey, cy, side="right")) - 1, S - 1)
-        grid = np.zeros((S, S))
-        grid[ix, iy] = 1.0
-        return grid
-    if mode != "area":
-        raise ValueError(f"unknown rasterization mode: {mode!r}")
     x0 = position[0] - dimensions[0] / 2
     x1 = position[0] + dimensions[0] / 2
     y0 = position[1] - dimensions[1] / 2
@@ -137,7 +117,6 @@ def object_footprint(
 def rasterize(
     g: SceneGraph,
     grid_size: int = DEFAULT_GRID_SIZE,
-    mode: str = "area",
     frames_override: dict[int, Frame] | None = None,
 ) -> tuple[HeatmapSet, ObjectCounts]:
     """Rasterize every room into heatmaps and tabulate object counts.
@@ -160,9 +139,7 @@ def rasterize(
         frames.append(frame)
         for obj in children_of(g, room.id, OBJECT):
             counts[ri, obj.class_index] += 1
-            data[ri, obj.class_index] += object_footprint(
-                frame, obj.position, obj.dimensions, S, mode
-            )
+            data[ri, obj.class_index] += object_footprint(frame, obj.position, obj.dimensions, S)
         for blind in children_of(g, room.id, BLIND):
             counts[ri, blind.class_index] += 1
         sums = data[ri].sum(axis=(1, 2))

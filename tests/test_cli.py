@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from scenecomp import __version__
 from scenecomp.catalog import default_catalog
 from scenecomp.cli import RunConfig, main
 from scenecomp.dataset import generate_synthetic_scene, heatmaps_to_dict, template_by_name
@@ -248,6 +249,34 @@ def test_layout_of_prediction_without_stamp_object_fails(tmp_path, capsys):
     assert capsys.readouterr().err == "error: prediction file: grid size None != configured 8\n"
 
 
+# a prediction's stamp -> the error laying it out raises (None: it is laid out);
+# seed and tool_version are provenance, grid size and catalog must match
+STAMP_CHANGES = {
+    "other-seed": ({"seed": 4}, None),
+    "other-tool-version": ({"tool_version": "0.0.0"}, None),
+    "other-grid-size": ({"S": 16}, "grid size 16 != configured 8"),
+    "other-catalog": ({"catalog_hash": "0" * 16}, "catalog hash mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", STAMP_CHANGES)
+def test_layout_checks_only_grid_size_and_catalog_of_stamp(tmp_path, capsys, case):
+    catalog = default_catalog()
+    g = generate_synthetic_scene((template_by_name("kitchen"),), 2, 5, catalog)
+    heat, _ = rasterize(g, 8)
+    change, message = STAMP_CHANGES[case]
+    stamp = {"S": 8, "catalog_hash": catalog.hash(), "seed": 3, "tool_version": __version__, **change}
+    pred = tmp_path / "prediction.json"
+    pred.write_text(json.dumps({"stamp": stamp, "heatmaps": heatmaps_to_dict(heat)}))
+    code = main(["--config", str(_write_config(tmp_path)), "layout", str(pred)])
+    if message is None:
+        assert code == 0
+        assert len(json.loads((tmp_path / "out" / "layout.json").read_text())["rooms"]) == 2
+    else:
+        assert code == 1 and capsys.readouterr().err == f"error: prediction file: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
 # heatmaps of a valid prediction -> malformed heatmaps, and the error they raise
 BAD_HEATMAPS = {
     "not-an-object": (lambda h: [1], "heatmaps are not a JSON object"),
@@ -270,6 +299,14 @@ BAD_HEATMAPS = {
         "heatmap data holds",
     ),
     "data-not-text": (lambda h: {**h, "data_b64": 3}, "unreadable heatmaps"),
+    "room-ids-text": (lambda h: {**h, "room_ids": ["a", "b"]}, "room ids ['a', 'b'] are not distinct ints"),
+    "room-ids-repeated": (lambda h: {**h, "room_ids": [1, 1]}, "room ids [1, 1] are not distinct ints"),
+    "room-id-bool": (lambda h: {**h, "room_ids": [True, 9]}, "are not distinct ints"),
+    "frame-pair": (lambda h: {**h, "room_frames": [[0, 0], h["room_frames"][1]]}, "room frame must be"),
+    "frame-text": (lambda h: {**h, "room_frames": [["0", "0", "1", "1"], h["room_frames"][1]]}, "room frame"),
+    "frame-no-width": (lambda h: {**h, "room_frames": [[1, 0, 1, 2], h["room_frames"][1]]}, "lo_x < hi_x"),
+    "frame-upside-down": (lambda h: {**h, "room_frames": [[0, 2, 1, 0], h["room_frames"][1]]}, "lo_y < hi_y"),
+    "frame-nan": (lambda h: {**h, "room_frames": [[0, 0, float("nan"), 1], h["room_frames"][1]]}, "finite"),
 }
 
 

@@ -251,6 +251,22 @@ def test_checkpoint_round_trip(tmp_path):
         np.testing.assert_array_equal(stats[k], stats2[k])
 
 
+def test_checkpoint_meta_with_copies_of_config_fields_still_loads(tmp_path):
+    # earlier version-2 files also held top-level copies of config fields
+    path, cfg, params, *_ = _stepped_checkpoint(tmp_path)
+
+    def add_copies(members):
+        meta = json.loads(members["meta.json"])
+        assert "grid_size" not in meta and "variant" not in meta
+        meta.update(grid_size=cfg.grid_size, variant=cfg.variant)
+        members["meta.json"] = json.dumps(meta).encode()
+
+    _rewrite_members(path, add_copies)
+    cfg2, params2, *_ = nn.load_checkpoint(path)
+    assert cfg2 == cfg
+    assert all(np.array_equal(params[k], params2[k]) for k in params)
+
+
 def test_checkpoint_is_the_given_path_and_opens_with_np_load(tmp_path):
     path, cfg, params, _, _ = _stepped_checkpoint(tmp_path)
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]

@@ -9,7 +9,9 @@ in Adam. The reference runs with zero hidden biases, which is what
 `loop_normalized_adjacency` is the adjacency builder that appended edges
 in a Python loop and scaled with sparse diagonal products, also verbatim.
 `dense_encode_inputs` is the encoder that stored the room rows' features
-as a dense array, verbatim apart from its name.
+as a dense array, and `loop_postprocess` the post-processing that gated
+and renormalized one (room, class) plane at a time in a Python loop, both
+verbatim apart from their names.
 """
 import dataclasses
 
@@ -31,11 +33,12 @@ from scenecomp.model import (
     _batch,
     encode_inputs,
     new_model,
+    postprocess,
     predict,
 )
 from scenecomp.nn import BN_EPS, AdamState, ModelConfig, _check_finite
 from scenecomp.ontology import class_affinity, default_ontology
-from scenecomp.raster import rasterize
+from scenecomp.raster import HeatmapSet, rasterize
 
 from conftest import simple_graph
 
@@ -222,7 +225,39 @@ def dense_encode_inputs(sample: BsgSample, model: CompositionModel) -> EncodedSa
             x[ri, block + cfg.n_classes :] = mixed.ravel()
     room_rows = np.array([index[rid] for rid in heat.room_ids], dtype=np.intp)
     target = sample.target_heatmaps.data.reshape(len(heat.room_ids), -1)
-    return EncodedSample(a_hat, x, room_rows, heat.room_ids, target, sample)
+    return EncodedSample(a_hat, x, room_rows, target)
+
+
+def loop_postprocess(
+    raw_rooms: np.ndarray, sample: BsgSample, config: nn.ModelConfig
+) -> HeatmapSet:
+    """Clamp, gate by counts, and renormalize into a valid heatmap set.
+
+    Classes with zero count in a room get an exactly-zero grid; present
+    classes are renormalized to sum 1 (uniform fallback when the clamped
+    output carries no mass).
+    """
+    n_rooms = raw_rooms.shape[0]
+    s = config.grid_size
+    grids = raw_rooms.reshape(n_rooms, config.n_classes, s, s).copy()
+    np.clip(grids, 0.0, None, out=grids)
+    counts = sample.counts.data
+    for ri in range(n_rooms):
+        for ci in range(config.n_classes):
+            if counts[ri, ci] <= 0:
+                grids[ri, ci] = 0.0
+                continue
+            total = grids[ri, ci].sum()
+            if total > 0:
+                grids[ri, ci] /= total
+            else:
+                grids[ri, ci] = 1.0 / (s * s)
+    return HeatmapSet(
+        grids,
+        sample.input_heatmaps.room_ids,
+        s,
+        sample.input_heatmaps.room_frames,
+    )
 
 
 # --- parity ----------------------------------------------------------------
@@ -498,7 +533,8 @@ def test_encode_equals_dense_encoder(variant):
         _assert_same_csr(enc.a_hat, ref.a_hat)
         assert np.array_equal(enc.room_rows, ref.room_rows)
         assert np.array_equal(enc.target, ref.target)
-        assert enc.room_ids == ref.room_ids
+        node_ids = sorted(n.id for n in s.graph.nodes)
+        assert [node_ids[i] for i in enc.room_rows] == list(s.input_heatmaps.room_ids)
     # the dense encoder failed on a room-less sample, reshaping its empty
     # target to (0, -1); its features are an empty matrix
     with pytest.raises(ValueError, match="cannot reshape"):
@@ -507,3 +543,25 @@ def test_encode_equals_dense_encoder(variant):
     assert enc.x.shape == (0, config.input_width) and enc.x.nnz == 0
     assert enc.target.shape == (0, config.output_width) and enc.room_rows.size == 0
     assert predict(model, roomless).data.shape == (0, catalog.n, GRID, GRID)
+
+
+@pytest.mark.parametrize("grid", [4, GRID, 16])
+def test_postprocess_bitwise_equals_loop(grid):
+    catalog = default_catalog()
+    config = ModelConfig(n_classes=catalog.n, grid_size=grid, hidden=8)
+    rng = np.random.default_rng(grid)
+    for k, g in enumerate(_scenes(4)):
+        sample = make_sample(g, 0.25, grid, k)
+        counts = sample.counts.data
+        # raw outputs of both signs, so clamping zeroes some cells
+        raw = rng.normal(size=(counts.shape[0], config.output_width))
+        # a present class whose clamped plane is all zero takes the uniform value
+        ri, ci = np.argwhere(counts > 0)[k]
+        raw.reshape(counts.shape[0], catalog.n, -1)[ri, ci] = -rng.uniform(size=grid * grid)
+        assert (counts == 0).any()
+        before = raw.copy()
+        got, ref = postprocess(raw, sample, config), loop_postprocess(raw, sample, config)
+        assert got.data.tobytes() == ref.data.tobytes()
+        assert (got.room_ids, got.grid_size, got.room_frames) == (ref.room_ids, ref.grid_size, ref.room_frames)
+        assert np.all(got.data[ri, ci] == 1.0 / (grid * grid))
+        assert np.array_equal(raw, before)

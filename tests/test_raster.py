@@ -130,10 +130,3 @@ def test_room_frame_from_children(catalog):
     g = build_graph(nodes, [(0, 1), (1, 2), (1, 3)], GROUND_TRUTH, catalog)
     assert room_frame(g, 1) == (0.0, 0.0, 6.0, 4.0)
 
-
-def test_center_mode(catalog):
-    g = _one_room_graph(catalog, [(0, (2.6, 3.2, 0.5), (3.0, 3.0, 1.0))])
-    heat, _ = rasterize(g, grid_size=8, mode="center")
-    grid = heat.data[0, 0]
-    assert grid[2, 3] == 1.0
-    assert grid.sum() == 1.0
