@@ -32,6 +32,6 @@ from .dataset import (
 )
 from .ontology import Ontology, class_affinity, default_ontology, load_ontology
 from .nn import ModelConfig, grad_check
-from .model import TrainConfig, evaluate_model, new_model, predict, train
+from .model import TrainConfig, evaluate_model, new_model, predict, predict_many, train
 from .metrics import energy_grid, evaluate, four_moments, frobenius_diff, wasserstein_grid
 from .layout import extract_layout, grid_to_world, place_blind_nodes

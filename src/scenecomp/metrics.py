@@ -18,37 +18,50 @@ FLATTENING_CONVENTION = "row-major-1d-unit-support"
 NORMALIZATION_ATOL = 1e-6
 
 
-def _as_flat_dist(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64).ravel()
-    if abs(p.sum() - 1.0) > NORMALIZATION_ATOL or np.any(p < 0):
+def _check_rows(p: np.ndarray) -> None:
+    """Raise NotNormalizedError unless each row is non-negative and sums to 1."""
+    if np.any(np.abs(p.sum(axis=1) - 1.0) > NORMALIZATION_ATOL) or np.any(p < 0):
         raise NotNormalizedError("distribution must be non-negative and sum to 1")
-    return p
 
 
-def wasserstein_grid(p: np.ndarray, q: np.ndarray) -> float:
-    """1-Wasserstein distance over the flattened unit-interval support."""
-    p, q = _as_flat_dist(p), _as_flat_dist(q)
-    if p.size != q.size:
-        raise ShapeMismatchError("distributions must share a support")
-    du = 1.0 / (p.size - 1)
-    return float(np.abs(np.cumsum(p - q)).sum() * du)
+def _w1_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """1-Wasserstein distance between each row of p and the same row of q."""
+    du = 1.0 / (p.shape[1] - 1)
+    return np.abs(np.cumsum(p - q, axis=1)).sum(axis=1) * du
 
 
-def energy_grid(p: np.ndarray, q: np.ndarray) -> float:
-    """Energy distance sqrt(2 E|X-Y| - E|X-X'| - E|Y-Y'|) on the same support.
+def _energy_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Energy distance between each row of p and the same row of q.
 
     Expectations reduce through the CDF identity
     E|X-Y| = sum_k (F_p + F_q - 2 F_p F_q)(u_k) * du to the exact form
     2 sum_k (F_p - F_q)^2(u_k) * du, which matches the weighted double sum
     over support points and is identically zero when p == q.
     """
-    p, q = _as_flat_dist(p), _as_flat_dist(q)
+    du = 1.0 / (p.shape[1] - 1)
+    fp = np.cumsum(p, axis=1)[:, :-1]
+    fq = np.cumsum(q, axis=1)[:, :-1]
+    return np.sqrt(2.0 * ((fp - fq) ** 2).sum(axis=1) * du)
+
+
+def _one_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """Two distributions as checked one-row arrays over a shared support."""
+    p, q = (np.asarray(a, dtype=np.float64).reshape(1, -1) for a in (p, q))
+    _check_rows(p)
+    _check_rows(q)
     if p.size != q.size:
         raise ShapeMismatchError("distributions must share a support")
-    du = 1.0 / (p.size - 1)
-    fp = np.cumsum(p)[:-1]
-    fq = np.cumsum(q)[:-1]
-    return math.sqrt(2.0 * float(((fp - fq) ** 2).sum()) * du)
+    return p, q
+
+
+def wasserstein_grid(p: np.ndarray, q: np.ndarray) -> float:
+    """1-Wasserstein distance over the flattened unit-interval support."""
+    return float(_w1_rows(*_one_pair(p, q))[0])
+
+
+def energy_grid(p: np.ndarray, q: np.ndarray) -> float:
+    """Energy distance sqrt(2 E|X-Y| - E|X-X'| - E|Y-Y'|) on the same support."""
+    return float(_energy_rows(*_one_pair(p, q))[0])
 
 
 def frobenius_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -127,39 +140,43 @@ class MetricsReport:
         }
 
 
-def _collect(pred: HeatmapSet, truth: HeatmapSet):
-    if pred.data.shape != truth.data.shape:
-        raise ShapeMismatchError(
-            f"prediction shape {pred.data.shape} != truth shape {truth.data.shape}"
-        )
-    if pred.room_ids != truth.room_ids:
-        raise ShapeMismatchError("prediction and truth room ids differ")
-    w_vals, e_vals, f_vals = [], [], []
-    present = truth.data.sum(axis=(2, 3)) > 0
-    for ri in range(truth.data.shape[0]):
-        for ci in np.nonzero(present[ri])[0]:
-            w_vals.append(wasserstein_grid(pred.data[ri, ci], truth.data[ri, ci]))
-            e_vals.append(energy_grid(pred.data[ri, ci], truth.data[ri, ci]))
-        f_vals.append(frobenius_diff(pred.data[ri], truth.data[ri]))
-    return w_vals, e_vals, f_vals
+def _collect(pairs):
+    """W1 and energy per (room, present class) and Frobenius per room.
+
+    Pools the values of every (pred, truth) heatmap-set pair, in order;
+    within a set the (room, class) pairs run in row-major order. Each set's
+    present planes become rows of two arrays, checked and compared row by
+    row.
+    """
+    # the leading empty arrays give an empty pairs list something to concatenate
+    w_vals, e_vals, f_vals = [np.zeros(0)], [np.zeros(0)], [np.zeros(0)]
+    for pred, truth in pairs:
+        if pred.data.shape != truth.data.shape:
+            raise ShapeMismatchError(
+                f"prediction shape {pred.data.shape} != truth shape {truth.data.shape}"
+            )
+        if pred.room_ids != truth.room_ids:
+            raise ShapeMismatchError("prediction and truth room ids differ")
+        pred_data, truth_data = (np.asarray(h.data, dtype=np.float64) for h in (pred, truth))
+        present = truth_data.sum(axis=(2, 3)) > 0
+        plane = truth_data.shape[2] * truth_data.shape[3]
+        p, q = (d[present].reshape(-1, plane) for d in (pred_data, truth_data))
+        _check_rows(p)
+        _check_rows(q)
+        w_vals.append(_w1_rows(p, q))
+        e_vals.append(_energy_rows(p, q))
+        f_vals.append(np.sqrt(((pred_data - truth_data) ** 2).sum(axis=(1, 2, 3))))
+    return tuple(np.concatenate(v) for v in (w_vals, e_vals, f_vals))
 
 
 def evaluate(pred: HeatmapSet, truth: HeatmapSet, provenance: dict | None = None) -> MetricsReport:
     """Distances per (room, present class), Frobenius per room, four moments each."""
-    w_vals, e_vals, f_vals = _collect(pred, truth)
-    return MetricsReport(
-        four_moments(w_vals), four_moments(e_vals), four_moments(f_vals), provenance
-    )
+    return evaluate_many([(pred, truth)], provenance)
 
 
 def evaluate_many(pairs, provenance: dict | None = None) -> MetricsReport:
     """Pool the populations of several (pred, truth) heatmap-set pairs."""
-    w_all, e_all, f_all = [], [], []
-    for pred, truth in pairs:
-        w, e, f = _collect(pred, truth)
-        w_all += w
-        e_all += e
-        f_all += f
+    w_vals, e_vals, f_vals = _collect(pairs)
     return MetricsReport(
-        four_moments(w_all), four_moments(e_all), four_moments(f_all), provenance
+        four_moments(w_vals), four_moments(e_vals), four_moments(f_vals), provenance
     )

@@ -125,15 +125,6 @@ def encode_inputs(sample: BsgSample, model: CompositionModel) -> EncodedSample:
     return EncodedSample(a_hat, x, room_rows, target)
 
 
-def raw_outputs(model: CompositionModel, enc: EncodedSample) -> np.ndarray:
-    """Eval-mode network output for the room rows, before post-processing."""
-    out, _ = nn.forward(
-        enc.a_hat, enc.x, model.params, model.stats, model.config,
-        rows=enc.room_rows,
-    )
-    return out
-
-
 def postprocess(
     raw_rooms: np.ndarray, sample: BsgSample, config: nn.ModelConfig
 ) -> HeatmapSet:
@@ -159,10 +150,30 @@ def postprocess(
     )
 
 
+def predict_many(model: CompositionModel, samples: list[BsgSample]) -> list[HeatmapSet]:
+    """Predicted heatmap sets for several samples from one eval-mode forward.
+
+    The samples' graphs are stacked block-diagonally (`_batch`). In eval
+    mode no layer mixes rows of different graphs: batch norm applies its
+    running stats and every product works row by row. Each set is therefore
+    the same bits as `predict` on its sample alone.
+    """
+    if not samples:
+        return []
+    encoded = [encode_inputs(s, model) for s in samples]
+    a, x, rows, _ = _batch(encoded)
+    out, _ = nn.forward(a, x, model.params, model.stats, model.config, rows=rows)
+    heats, start = [], 0
+    for s, e in zip(samples, encoded):
+        end = start + len(e.room_rows)
+        heats.append(postprocess(out[start:end], s, model.config))
+        start = end
+    return heats
+
+
 def predict(model: CompositionModel, sample: BsgSample) -> HeatmapSet:
     """Predicted heatmap set for one sample; always a valid HeatmapSet."""
-    enc = encode_inputs(sample, model)
-    return postprocess(raw_outputs(model, enc), sample, model.config)
+    return predict_many(model, [sample])[0]
 
 
 @dataclass(frozen=True)
@@ -205,8 +216,12 @@ def _batch(encoded: list[EncodedSample]):
     Returns (adjacency over every node, room-row features, room-row indices
     into the adjacency, room-row targets); the features and targets are in
     the order of the indices. The adjacency is block-diagonal and the
-    features (CSR) are row-stacked, both by concatenating CSR arrays.
+    features (CSR) are row-stacked, both by concatenating CSR arrays. A
+    single graph's own arrays are returned as they are, uncopied.
     """
+    if len(encoded) == 1:
+        e = encoded[0]
+        return e.a_hat, e.x, e.room_rows, e.target
     rows, n = [], 0
     for e in encoded:
         rows.append(e.room_rows + n)
@@ -273,8 +288,8 @@ def train(
 
 
 def evaluate_model(model: CompositionModel, test_set: list[BsgSample], provenance=None):
-    """Metrics report over a test set (delegates to the metrics module)."""
+    """Metrics report over a test set, predicted by one `predict_many` forward."""
     from .metrics import evaluate_many
 
-    pairs = [(predict(model, s), s.target_heatmaps) for s in test_set]
-    return evaluate_many(pairs, provenance)
+    preds = predict_many(model, test_set)
+    return evaluate_many(zip(preds, (s.target_heatmaps for s in test_set)), provenance)

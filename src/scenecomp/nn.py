@@ -126,7 +126,8 @@ def normalized_adjacency(g: SceneGraph, node_ids: list[int] | None = None) -> sp
 
     node_ids fixes the row/column order; defaults to all nodes in id order.
     Edges with an end outside node_ids are dropped and duplicate edges count
-    once. Each entry is the single product d[row] * a * d[col].
+    once. Each entry is the single product d[row] * d[col] of the degrees'
+    inverse square roots.
     """
     if node_ids is None:
         node_ids = sorted(n.id for n in g.nodes)
@@ -139,18 +140,17 @@ def normalized_adjacency(g: SceneGraph, node_ids: list[int] | None = None) -> sp
     loops = np.arange(n)
     rows = np.concatenate([loops, ends[:, 0], ends[:, 1]])
     cols = np.concatenate([loops, ends[:, 1], ends[:, 0]])
-    a = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
-    a.data = np.minimum(a.data, 1.0)  # collapse duplicate edges
-    d = 1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel())
-    row = np.repeat(np.arange(n), np.diff(a.indptr))
-    a.data = d[row] * a.data * d[a.indices]
-    return a
+    # sorted by row, then column, with duplicate edges collapsed
+    row, col = np.divmod(np.unique(rows * n + cols), n)
+    degree = np.bincount(row, minlength=n)
+    d = 1.0 / np.sqrt(degree)
+    indptr = np.concatenate([[0], np.cumsum(degree)])
+    return sp.csr_matrix((d[row] * d[col], col, indptr), shape=(n, n))
 
 
-def _check_finite(name: str, *arrays) -> None:
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteError(f"non-finite values after {name}")
+def _check_finite(direction: str, layer: int, tensor: str, a: np.ndarray) -> None:
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteError(f"non-finite values in {tensor} at layer {layer} ({direction} pass)")
 
 
 def forward(
@@ -222,7 +222,7 @@ def forward(
                 h = h * keep / (1.0 - config.dropout)
                 layer["dropout_keep"] = keep
         cache["layers"].append(layer)
-        _check_finite(f"layer {l}", h)
+        _check_finite("forward", l, "h", h)
     return h, cache
 
 
@@ -262,7 +262,7 @@ def backward(d_out: np.ndarray, params: dict, cache: dict, config: ModelConfig) 
                 )
             else:
                 d_z = d_xhat * layer["invstd"]
-        _check_finite(f"backward layer {l}", d_z)
+        _check_finite("backward", l, "d_z", d_z)
         a = layer["a"]
         if l == 0:
             grads["w0"] = cache["x"].T @ (a.T @ d_z)

@@ -277,6 +277,22 @@ def test_layout_checks_only_grid_size_and_catalog_of_stamp(tmp_path, capsys, cas
         assert not (tmp_path / "out").exists()
 
 
+def _with_planes(h: dict, change) -> dict:
+    """Heatmaps whose stored planes (a planes x cells array) went through change."""
+    planes = np.frombuffer(base64.b64decode(h["data_b64"]), "<f8").reshape(len(h["planes"]), -1)
+    planes = change(planes.copy())
+    return {**h, "data_b64": base64.b64encode(planes.astype("<f8").tobytes()).decode()}
+
+
+def _first_plane(value):
+    def change(planes):
+        planes[0] = value(planes[0])
+        return planes
+    return change
+
+
+NOT_A_DISTRIBUTION = "each (room, class) grid must sum to 1 or be all zero"
+
 # heatmaps of a valid prediction -> malformed heatmaps, and the error they raise
 BAD_HEATMAPS = {
     "not-an-object": (lambda h: [1], "heatmaps are not a JSON object"),
@@ -307,6 +323,13 @@ BAD_HEATMAPS = {
     "frame-no-width": (lambda h: {**h, "room_frames": [[1, 0, 1, 2], h["room_frames"][1]]}, "lo_x < hi_x"),
     "frame-upside-down": (lambda h: {**h, "room_frames": [[0, 2, 1, 0], h["room_frames"][1]]}, "lo_y < hi_y"),
     "frame-nan": (lambda h: {**h, "room_frames": [[0, 0, float("nan"), 1], h["room_frames"][1]]}, "finite"),
+    "nan-plane": (lambda h: _with_planes(h, _first_plane(lambda p: p * np.nan)), NOT_A_DISTRIBUTION),
+    "inf-plane": (
+        lambda h: _with_planes(h, _first_plane(lambda p: np.where(p == p.max(), np.inf, p))),
+        NOT_A_DISTRIBUTION,
+    ),
+    "negated-planes": (lambda h: _with_planes(h, np.negative), "heatmap entries must be non-negative"),
+    "half-mass-plane": (lambda h: _with_planes(h, _first_plane(lambda p: p * 0.5)), NOT_A_DISTRIBUTION),
 }
 
 

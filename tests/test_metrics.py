@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from scenecomp.catalog import default_catalog
+from scenecomp.dataset import default_templates, generate_synthetic_scene, make_sample
 from scenecomp.errors import NotNormalizedError, ShapeMismatchError
+from scenecomp.graphs import augment
 from scenecomp.metrics import (
+    NORMALIZATION_ATOL,
+    MetricsReport,
+    _collect,
     energy_grid,
     evaluate,
     evaluate_many,
@@ -14,6 +20,68 @@ from scenecomp.metrics import (
     wasserstein_grid,
 )
 from scenecomp.raster import HeatmapSet
+
+# --- reference: the per-pair metrics loop, verbatim apart from names --------
+#
+# `_collect` gathers each heatmap-set pair's present planes into arrays and
+# compares them row by row; this is the loop it replaced, one (room, class)
+# pair and one distance call at a time.
+
+
+def _as_flat_dist(p: np.ndarray) -> np.ndarray:
+    p = np.asarray(p, dtype=np.float64).ravel()
+    if abs(p.sum() - 1.0) > NORMALIZATION_ATOL or np.any(p < 0):
+        raise NotNormalizedError("distribution must be non-negative and sum to 1")
+    return p
+
+
+def loop_wasserstein_grid(p: np.ndarray, q: np.ndarray) -> float:
+    """1-Wasserstein distance over the flattened unit-interval support."""
+    p, q = _as_flat_dist(p), _as_flat_dist(q)
+    if p.size != q.size:
+        raise ShapeMismatchError("distributions must share a support")
+    du = 1.0 / (p.size - 1)
+    return float(np.abs(np.cumsum(p - q)).sum() * du)
+
+
+def loop_energy_grid(p: np.ndarray, q: np.ndarray) -> float:
+    p, q = _as_flat_dist(p), _as_flat_dist(q)
+    if p.size != q.size:
+        raise ShapeMismatchError("distributions must share a support")
+    du = 1.0 / (p.size - 1)
+    fp = np.cumsum(p)[:-1]
+    fq = np.cumsum(q)[:-1]
+    return math.sqrt(2.0 * float(((fp - fq) ** 2).sum()) * du)
+
+
+def loop_collect(pred: HeatmapSet, truth: HeatmapSet):
+    if pred.data.shape != truth.data.shape:
+        raise ShapeMismatchError(
+            f"prediction shape {pred.data.shape} != truth shape {truth.data.shape}"
+        )
+    if pred.room_ids != truth.room_ids:
+        raise ShapeMismatchError("prediction and truth room ids differ")
+    w_vals, e_vals, f_vals = [], [], []
+    present = truth.data.sum(axis=(2, 3)) > 0
+    for ri in range(truth.data.shape[0]):
+        for ci in np.nonzero(present[ri])[0]:
+            w_vals.append(loop_wasserstein_grid(pred.data[ri, ci], truth.data[ri, ci]))
+            e_vals.append(loop_energy_grid(pred.data[ri, ci], truth.data[ri, ci]))
+        f_vals.append(frobenius_diff(pred.data[ri], truth.data[ri]))
+    return w_vals, e_vals, f_vals
+
+
+def loop_evaluate_many(pairs, provenance: dict | None = None) -> MetricsReport:
+    """Pool the populations of several (pred, truth) heatmap-set pairs."""
+    w_all, e_all, f_all = [], [], []
+    for pred, truth in pairs:
+        w, e, f = loop_collect(pred, truth)
+        w_all += w
+        e_all += e
+        f_all += f
+    return MetricsReport(
+        four_moments(w_all), four_moments(e_all), four_moments(f_all), provenance
+    )
 
 
 def _rand_dist(rng, s):
@@ -253,3 +321,67 @@ def test_evaluate_many_pools_populations():
     assert report.frobenius.n == 3
     d = report.to_dict()
     assert set(d["wasserstein"]) == {"n", "mean", "variance", "skewness", "kurtosis"}
+
+
+def _generated_pairs(grid: int, n: int = 5):
+    """(prediction, truth) heatmap-set pairs: generated scenes' target heatmaps
+    against random distributions, over present and absent classes alike."""
+    catalog, rng = default_catalog(), np.random.default_rng(grid)
+    pairs = []
+    for seed in range(n):
+        g = augment(generate_synthetic_scene(default_templates(), 3, seed, catalog), 0.25, seed)
+        truth = make_sample(g, 0.25, grid, seed).target_heatmaps
+        data = rng.random(truth.data.shape) * (rng.random(truth.data.shape[:2]) < 0.4)[..., None, None]
+        data[truth.data.sum(axis=(2, 3)) > 0] += rng.random(grid * grid).reshape(grid, grid)
+        totals = data.sum(axis=(2, 3))
+        data[totals > 0] /= totals[totals > 0][:, None, None]
+        pairs.append((HeatmapSet(data, truth.room_ids, grid, truth.room_frames), truth))
+    return pairs
+
+
+def _assert_same_values(got: np.ndarray, want: list) -> None:
+    assert got.dtype == np.float64 and got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("grid", [8, 16])
+def test_collect_bitwise_equals_loop(grid):
+    pairs = _generated_pairs(grid)
+    for pred, truth in pairs:
+        for got, want in zip(_collect([(pred, truth)]), loop_collect(pred, truth)):
+            _assert_same_values(got, want)
+        present = truth.data.sum(axis=(2, 3)) > 0
+        for p, q in zip(pred.data[present], truth.data[present]):
+            assert wasserstein_grid(p, q) == loop_wasserstein_grid(p, q)
+            assert energy_grid(p, q) == loop_energy_grid(p, q)
+    ref = [loop_collect(pred, truth) for pred, truth in pairs]
+    for k, got in enumerate(_collect(pairs)):
+        _assert_same_values(got, [v for vals in ref for v in vals[k]])
+    assert evaluate_many(pairs, {"k": 1}) == loop_evaluate_many(pairs, {"k": 1})
+    assert evaluate(*pairs[0]) == loop_evaluate_many(pairs[:1])
+
+
+def test_collect_pools_grid_sizes_as_loop():
+    pairs = _generated_pairs(8, 2) + _generated_pairs(16, 2)
+    assert evaluate_many(pairs) == loop_evaluate_many(pairs)
+    assert evaluate_many([]) == loop_evaluate_many([]) == MetricsReport(*[four_moments([])] * 3)
+
+
+@pytest.mark.parametrize("change", ["half-mass", "negative", "double-mass"])
+@pytest.mark.parametrize("side", ["pred", "truth"])
+def test_collect_rejects_unnormalized_pair_as_loop(change, side):
+    pairs = _generated_pairs(8, 3)
+    pred, truth = pairs[1]
+    ri, ci = np.argwhere(truth.data.sum(axis=(2, 3)) > 0)[-1]
+    h = pred if side == "pred" else truth
+    plane = h.data[ri, ci]
+    if change == "half-mass":
+        plane *= 0.5
+    elif change == "double-mass":
+        plane *= 2.0
+    else:
+        # one cell below zero, the plane still summing to 1
+        plane.flat[plane.argmin()] -= 0.25
+        plane.flat[plane.argmax()] += 0.25
+    for fn in (_collect, lambda ps: [loop_collect(*pq) for pq in ps]):
+        with pytest.raises(NotNormalizedError, match="non-negative and sum to 1"):
+            fn(pairs)

@@ -211,8 +211,14 @@ def test_nonfinite_detected():
     params, stats = nn.init_params(cfg, seed=15)
     params["w0"][0, 0] = np.inf
     x = np.ones((2, cfg.input_width))
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(NonFiniteError, match=r"^non-finite values in h at layer 0 \(forward pass\)$"):
         nn.forward(np.eye(2), x, params, stats, cfg)
+    params["w0"][0, 0] = 0.0
+    out, cache = nn.forward(np.eye(2), x, params, stats, cfg)
+    d_out = np.zeros_like(out)
+    d_out[1, 0] = np.nan
+    with pytest.raises(NonFiniteError, match=r"^non-finite values in d_z at layer 1 \(backward pass\)$"):
+        nn.backward(d_out, params, cache, cfg)
 
 
 def test_grad_check_small():

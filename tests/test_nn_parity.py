@@ -11,7 +11,9 @@ in a Python loop and scaled with sparse diagonal products, also verbatim.
 `dense_encode_inputs` is the encoder that stored the room rows' features
 as a dense array, and `loop_postprocess` the post-processing that gated
 and renormalized one (room, class) plane at a time in a Python loop, both
-verbatim apart from their names.
+verbatim apart from their names. `one_graph_predict` is `predict` as it
+was before `predict_many`: one graph's own eval-mode forward (the former
+`raw_outputs`), then `postprocess`.
 """
 import dataclasses
 
@@ -23,7 +25,7 @@ from scenecomp import nn
 from scenecomp.catalog import default_catalog
 from scenecomp.dataset import default_templates, generate_synthetic_scene, make_sample
 from scenecomp.dataset import BsgSample
-from scenecomp.errors import ConfigMismatchError, ShapeMismatchError
+from scenecomp.errors import ConfigMismatchError, NonFiniteError, ShapeMismatchError
 from scenecomp.graphs import BELIEF, BUILDING, ROOM, SceneGraph, SceneNode, augment, build_graph
 from scenecomp.model import (
     BASE,
@@ -32,17 +34,26 @@ from scenecomp.model import (
     EncodedSample,
     _batch,
     encode_inputs,
+    evaluate_model,
     new_model,
     postprocess,
     predict,
+    predict_many,
 )
-from scenecomp.nn import BN_EPS, AdamState, ModelConfig, _check_finite
+from scenecomp.nn import BN_EPS, AdamState, ModelConfig
 from scenecomp.ontology import class_affinity, default_ontology
 from scenecomp.raster import HeatmapSet, rasterize
 
 from conftest import simple_graph
+from test_metrics import loop_evaluate_many
 
 # --- reference: the dense network, verbatim --------------------------------
+
+
+def _check_finite(name: str, *arrays) -> None:
+    for a in arrays:
+        if not np.all(np.isfinite(a)):
+            raise NonFiniteError(f"non-finite values after {name}")
 
 
 def dense_forward(
@@ -265,18 +276,26 @@ def loop_postprocess(
 GRID = 8
 
 
+def one_graph_predict(model: CompositionModel, sample: BsgSample) -> HeatmapSet:
+    enc = encode_inputs(sample, model)
+    out, _ = nn.forward(
+        enc.a_hat, enc.x, model.params, model.stats, model.config,
+        rows=enc.room_rows,
+    )
+    return postprocess(out, sample, model.config)
+
+
 def _rel(new, ref) -> float:
     """Largest absolute difference relative to the reference's largest entry."""
     scale = np.abs(ref).max()
     return float(np.abs(new - ref).max() / scale) if scale > 0 else float(np.abs(new).max())
 
 
-def _problem(variant, dropout=0.0, linear_only=False):
-    """A batch of three encoded S=8 scenes and a model with non-trivial
-    batch-norm parameters, running stats and output bias."""
+def _perturbed_model(variant, hidden=16, **config):
+    """An S=8 model with non-trivial batch-norm parameters, running stats
+    and output bias."""
     catalog = default_catalog()
-    config = ModelConfig(variant=variant, n_classes=catalog.n, grid_size=GRID, hidden=16,
-                         dropout=dropout, linear_only=linear_only)
+    config = ModelConfig(variant=variant, n_classes=catalog.n, grid_size=GRID, hidden=hidden, **config)
     affinity = class_affinity(default_ontology()) if variant == BASE_ONT else None
     model = new_model(config, catalog.hash(), seed=3, affinity=affinity)
     rng = np.random.default_rng(4)
@@ -285,6 +304,14 @@ def _problem(variant, dropout=0.0, linear_only=False):
             p[:] = rng.normal(loc=1.0 if name.startswith("gamma") else 0.0, scale=0.1, size=p.shape)
     for name, s in model.stats.items():
         s[:] = rng.uniform(0.5, 1.5, size=s.shape) if name.startswith("var") else rng.normal(size=s.shape)
+    return model
+
+
+def _problem(variant, dropout=0.0, linear_only=False):
+    """A batch of three encoded S=8 scenes and a model with non-trivial
+    batch-norm parameters, running stats and output bias."""
+    catalog = default_catalog()
+    model = _perturbed_model(variant, dropout=dropout, linear_only=linear_only)
     samples = []
     for seed in range(3):
         g = generate_synthetic_scene(default_templates(), 3, seed, catalog)
@@ -565,3 +592,46 @@ def test_postprocess_bitwise_equals_loop(grid):
         assert (got.room_ids, got.grid_size, got.room_frames) == (ref.room_ids, ref.grid_size, ref.room_frames)
         assert np.all(got.data[ri, ci] == 1.0 / (grid * grid))
         assert np.array_equal(raw, before)
+
+
+PREDICT_MODELS = {
+    "base": dict(variant=BASE),
+    "base_ont": dict(variant=BASE_ONT),
+    "rooms_only": dict(variant=BASE_ONT, rooms_only=True),
+    "base-hidden-256": dict(variant=BASE, hidden=256),
+}
+
+
+def _same_heatmaps(got: HeatmapSet, ref: HeatmapSet) -> bool:
+    return got.data.tobytes() == ref.data.tobytes() and (
+        got.data.shape, got.room_ids, got.grid_size, got.room_frames
+    ) == (ref.data.shape, ref.room_ids, ref.grid_size, ref.room_frames)
+
+
+@pytest.mark.parametrize("case", PREDICT_MODELS)
+def test_predict_many_bitwise_equals_predict(case):
+    model = _perturbed_model(**PREDICT_MODELS[case])
+    *samples, roomless = _encoder_samples()
+    batch = samples[:2] + [roomless] + samples[2:]  # a room-less graph mid-batch
+    got = predict_many(model, batch)
+    assert len(got) == len(batch)
+    for h, s in zip(got, batch):
+        ref = one_graph_predict(model, s)
+        assert _same_heatmaps(h, ref)
+        assert _same_heatmaps(predict(model, s), ref)
+    assert got[2].data.shape == (0, model.config.n_classes, GRID, GRID)
+    [one] = predict_many(model, batch[3:4])
+    assert _same_heatmaps(one, got[3])
+    assert predict_many(model, []) == []
+
+
+@pytest.mark.parametrize("case", ["base", "base_ont"])
+def test_evaluate_model_equals_loop_report(case):
+    model = _perturbed_model(**PREDICT_MODELS[case])
+    test_set = _encoder_samples()
+    pairs = [(one_graph_predict(model, s), s.target_heatmaps) for s in test_set]
+    provenance = {"checkpoint_hash": "0" * 16}
+    report = evaluate_model(model, test_set, provenance)
+    assert report == loop_evaluate_many(pairs, provenance)
+    assert report.wasserstein.n > 0
+    assert report.frobenius.n == sum(len(s.input_heatmaps.room_ids) for s in test_set)

@@ -1,16 +1,28 @@
 """Source checks that need no linter, only the standard library's ast.
 
-Every name a module under src/scenecomp imports is used in it (the
-package's __init__.py re-exports names and is exempt), and no module
-rebinds module-level state through a `global` statement.
+Every module under src/scenecomp parses with the grammar of the oldest
+Python that pyproject.toml's requires-python admits, every name a module
+imports is used in it (the package's __init__.py re-exports names and is
+exempt), and no module rebinds module-level state through a `global`
+statement.
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "scenecomp"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "scenecomp"
 MODULES = sorted(SRC.glob("*.py"))
+
+
+def oldest_python() -> tuple[int, int]:
+    """The (major, minor) floor of pyproject.toml's `requires-python = ">=X.Y"`."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', text, re.MULTILINE)
+    assert found, "pyproject.toml states no requires-python floor"
+    return int(found[1]), int(found[2])
 
 
 def _tree(path: Path) -> ast.Module:
@@ -55,6 +67,13 @@ def test_checks_catch_what_they_look_for():
     )
     assert unused_imports(tree) == ["os (line 2)", "field (line 3)"]
     assert global_statements(tree) == ["global COUNT (line 10)"]
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_parses_with_oldest_supported_grammar(path):
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=oldest_python())
 
 
 @pytest.mark.parametrize(
