@@ -77,20 +77,6 @@ class SceneGraph:
             object.__setattr__(self, "_by_id_cache", cache)
         return cache
 
-    @property
-    def _children(self) -> dict[int, list[SceneNode]]:
-        # parent id -> child nodes sorted by id, one entry per edge; cached
-        # on first use like _by_id
-        cache = self.__dict__.get("_children_cache")
-        if cache is None:
-            cache = {}
-            for parent, child in self.edges:
-                cache.setdefault(parent, []).append(self.node(child))
-            for kids in cache.values():
-                kids.sort(key=lambda n: n.id)
-            object.__setattr__(self, "_children_cache", cache)
-        return cache
-
     def nodes_in_layer(self, layer: str) -> list[SceneNode]:
         return [n for n in self.nodes if n.layer == layer]
 
@@ -181,7 +167,13 @@ def children_of(g: SceneGraph, room_id: int, layer: str | None = None) -> list[S
     node = g.node(room_id)
     if node.layer != ROOM:
         raise UnknownRoomError(f"node {room_id} is not a room")
-    return [c for c in g._children.get(room_id, ()) if layer is None or c.layer == layer]
+    out = []
+    for parent, child in g.edges:
+        if parent == room_id:
+            c = g.node(child)
+            if layer is None or c.layer == layer:
+                out.append(c)
+    return sorted(out, key=lambda n: n.id)
 
 
 def augment(

@@ -64,12 +64,17 @@ def energy_grid(p: np.ndarray, q: np.ndarray) -> float:
     return float(_energy_rows(*_one_pair(p, q))[0])
 
 
+def _frobenius_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Frobenius norm of a[i] - b[i] for each index i of the first axis."""
+    return np.sqrt(((a - b) ** 2).sum(axis=tuple(range(1, a.ndim))))
+
+
 def frobenius_diff(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius norm of the elementwise difference."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shape {a.shape} != {b.shape}")
-    return float(np.sqrt(((a - b) ** 2).sum()))
+    return float(_frobenius_rows(a[None], b[None])[0])
 
 
 @dataclass(frozen=True)
@@ -165,7 +170,7 @@ def _collect(pairs):
         _check_rows(q)
         w_vals.append(_w1_rows(p, q))
         e_vals.append(_energy_rows(p, q))
-        f_vals.append(np.sqrt(((pred_data - truth_data) ** 2).sum(axis=(1, 2, 3))))
+        f_vals.append(_frobenius_rows(pred_data, truth_data))
     return tuple(np.concatenate(v) for v in (w_vals, e_vals, f_vals))
 
 

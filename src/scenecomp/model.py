@@ -161,7 +161,7 @@ def predict_many(model: CompositionModel, samples: list[BsgSample]) -> list[Heat
     if not samples:
         return []
     encoded = [encode_inputs(s, model) for s in samples]
-    a, x, rows, _ = _batch(encoded)
+    a, x, rows = _batch(encoded)
     out, _ = nn.forward(a, x, model.params, model.stats, model.config, rows=rows)
     heats, start = [], 0
     for s, e in zip(samples, encoded):
@@ -214,30 +214,25 @@ def _batch(encoded: list[EncodedSample]):
     """Stack several graphs into one block-diagonal message-passing problem.
 
     Returns (adjacency over every node, room-row features, room-row indices
-    into the adjacency, room-row targets); the features and targets are in
-    the order of the indices. The adjacency is block-diagonal and the
-    features (CSR) are row-stacked, both by concatenating CSR arrays. A
-    single graph's own arrays are returned as they are, uncopied.
+    into the adjacency); the features are in the order of the indices, as
+    is `np.vstack` of the samples' targets. The adjacency is block-diagonal
+    and the features (CSR) are row-stacked, both by concatenating CSR arrays.
     """
-    if len(encoded) == 1:
-        e = encoded[0]
-        return e.a_hat, e.x, e.room_rows, e.target
     rows, n = [], 0
     for e in encoded:
         rows.append(e.room_rows + n)
         n += e.a_hat.shape[0]
     a = _stack_csr([e.a_hat for e in encoded], diagonal=True)
     x = _stack_csr([e.x for e in encoded], diagonal=False)
-    target = np.vstack([e.target for e in encoded])
-    return a, x, np.concatenate(rows), target
+    return a, x, np.concatenate(rows)
 
 
 def validation_loss(model: CompositionModel, encoded: list[EncodedSample]) -> float:
     if not encoded:
         return float("nan")
-    a, x, rows, target = _batch(encoded)
+    a, x, rows = _batch(encoded)
     out, _ = nn.forward(a, x, model.params, model.stats, model.config, rows=rows)
-    return nn.mse_loss(out, target)[0]
+    return nn.mse_loss(out, np.vstack([e.target for e in encoded]))[0]
 
 
 def train(
@@ -268,12 +263,12 @@ def train(
         epoch_losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = [enc_train[i] for i in order[start : start + cfg.batch_size]]
-            a, x, rows, target = _batch(batch)
+            a, x, rows = _batch(batch)
             out, cache = nn.forward(
                 a, x, model.params, model.stats, model.config,
                 train=True, dropout_rng=dropout_rng, rows=rows,
             )
-            loss, d_out = nn.mse_loss(out, target)
+            loss, d_out = nn.mse_loss(out, np.vstack([e.target for e in batch]))
             grads = nn.backward(d_out, model.params, cache, model.config)
             nn.adam_step(model.params, grads, adam, cfg.lr, cfg.lr_decay)
             epoch_losses.append(loss)

@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from scenecomp.dataset import default_templates, generate_synthetic_scene
 from scenecomp.errors import (
     DanglingEdgeError,
     DuplicateIdError,
@@ -142,39 +141,6 @@ def test_rooms_and_children(catalog):
     assert all(n.layer == OBJECT for n in objs)
     with pytest.raises(UnknownRoomError):
         children_of(g, 0)  # building is not a room
-
-
-def loop_children_of(g, room_id, layer=None):
-    """`children_of` as it was before the cached index: one scan of every edge."""
-    node = g.node(room_id)
-    if node.layer != ROOM:
-        raise UnknownRoomError(f"node {room_id} is not a room")
-    out = []
-    for parent, child in g.edges:
-        if parent == room_id:
-            c = g.node(child)
-            if layer is None or c.layer == layer:
-                out.append(c)
-    return sorted(out, key=lambda n: n.id)
-
-
-def test_children_of_equals_edge_scan(catalog):
-    templates = default_templates()
-    for seed in range(4):
-        g = augment(generate_synthetic_scene(templates, 3, seed, catalog), 0.25, seed)
-        rooms = rooms_of(g)
-        # blind nodes appended after the objects, with ids above theirs
-        b = make_belief_graph(g, [(rooms[0].id, 0, 2), (rooms[-1].id, 1, 1)])
-        # edges in reverse order, so edge order and id order disagree
-        r = build_graph(b.nodes, b.edges[::-1], BELIEF, catalog)
-        for graph in (g, b, r):
-            for room in rooms:
-                for layer in (None, OBJECT, BLIND):
-                    got = children_of(graph, room.id, layer)
-                    assert got == loop_children_of(graph, room.id, layer)
-                    assert [n.id for n in got] == sorted(n.id for n in got)
-            with pytest.raises(UnknownRoomError):
-                children_of(graph, next(n.id for n in graph.nodes if n.layer == OBJECT))
 
 
 def test_json_round_trip(catalog):

@@ -54,6 +54,14 @@ def loop_energy_grid(p: np.ndarray, q: np.ndarray) -> float:
     return math.sqrt(2.0 * float(((fp - fq) ** 2).sum()) * du)
 
 
+def loop_frobenius_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius norm of the elementwise difference."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"shape {a.shape} != {b.shape}")
+    return float(np.sqrt(((a - b) ** 2).sum()))
+
+
 def loop_collect(pred: HeatmapSet, truth: HeatmapSet):
     if pred.data.shape != truth.data.shape:
         raise ShapeMismatchError(
@@ -67,7 +75,7 @@ def loop_collect(pred: HeatmapSet, truth: HeatmapSet):
         for ci in np.nonzero(present[ri])[0]:
             w_vals.append(loop_wasserstein_grid(pred.data[ri, ci], truth.data[ri, ci]))
             e_vals.append(loop_energy_grid(pred.data[ri, ci], truth.data[ri, ci]))
-        f_vals.append(frobenius_diff(pred.data[ri], truth.data[ri]))
+        f_vals.append(loop_frobenius_diff(pred.data[ri], truth.data[ri]))
     return w_vals, e_vals, f_vals
 
 
@@ -353,6 +361,8 @@ def test_collect_bitwise_equals_loop(grid):
         for p, q in zip(pred.data[present], truth.data[present]):
             assert wasserstein_grid(p, q) == loop_wasserstein_grid(p, q)
             assert energy_grid(p, q) == loop_energy_grid(p, q)
+        for a, b in zip(pred.data, truth.data):
+            assert frobenius_diff(a, b) == loop_frobenius_diff(a, b)
     ref = [loop_collect(pred, truth) for pred, truth in pairs]
     for k, got in enumerate(_collect(pairs)):
         _assert_same_values(got, [v for vals in ref for v in vals[k]])

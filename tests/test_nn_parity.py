@@ -317,7 +317,8 @@ def _problem(variant, dropout=0.0, linear_only=False):
         g = generate_synthetic_scene(default_templates(), 3, seed, catalog)
         samples.append(make_sample(augment(g, 0.25, seed), 0.25, GRID, seed))
     encoded = [encode_inputs(s, model) for s in samples]
-    a, x_rooms, rows, target = _batch(encoded)
+    a, x_rooms, rows = _batch(encoded)
+    target = np.vstack([e.target for e in encoded])
     x_all = np.zeros((a.shape[0], x_rooms.shape[1]))
     x_all[rows] = x_rooms.toarray()
     return model, a, x_all, x_rooms, rows, target
@@ -523,12 +524,11 @@ def test_batch_adjacency_equals_block_diag(rooms_only):
     config = ModelConfig(n_classes=catalog.n, grid_size=GRID, hidden=8, rooms_only=rooms_only)
     model = new_model(config, catalog.hash())
     encoded = [encode_inputs(make_sample(g, 0.25, GRID, k), model) for k, g in enumerate(_scenes())]
-    a, x, rows, target = _batch(encoded)
+    a, x, rows = _batch(encoded)
     _assert_same_csr(a, sp.block_diag([e.a_hat for e in encoded], format="csr"))
     offsets = np.cumsum([0] + [e.a_hat.shape[0] for e in encoded[:-1]])
     assert np.array_equal(rows, np.concatenate([e.room_rows + o for e, o in zip(encoded, offsets)]))
     _assert_same_csr(x, sp.vstack([e.x for e in encoded], format="csr"))
-    assert np.array_equal(target, np.vstack([e.target for e in encoded]))
 
 
 def _encoder_samples():
