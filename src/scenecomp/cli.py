@@ -162,20 +162,16 @@ def _read_object(path) -> dict:
 def _prediction_heatmaps(doc: dict, path) -> HeatmapSet:
     """The heatmaps of the prediction document read from path.
 
-    Their values must be ones a prediction can hold (`HeatmapSet.validate`:
-    non-negative, each plane summing to 1 or all zero, hence finite).
+    `heatmaps_from_dict` checks their layout and that their values are ones
+    a prediction can hold (non-negative, each plane summing to 1 or all
+    zero, hence finite).
     """
     if "heatmaps" not in doc:
         raise UnreadableInputError(f"prediction file {path} holds no heatmaps")
     try:
-        heat = heatmaps_from_dict(doc["heatmaps"])
+        return heatmaps_from_dict(doc["heatmaps"])
     except UnreadableInputError as e:
         raise UnreadableInputError(f"prediction file {path}: {e}") from e
-    try:
-        heat.validate()
-    except ValueError as e:
-        raise UnreadableInputError(f"prediction file {path}: {e}") from e
-    return heat
 
 
 def _blind_counts(doc: dict, heat: HeatmapSet, path) -> dict:

@@ -412,7 +412,9 @@ _HEATMAP_KEYS = ("room_ids", "grid_size", "room_frames", "shape", "planes", "dat
 def heatmaps_from_dict(d: dict) -> HeatmapSet:
     """The HeatmapSet that heatmaps_to_dict wrote: its planes scattered into zeros.
 
-    Data that does not describe one consistent set raises UnreadableInputError.
+    Data that does not describe one consistent set, or values that no heatmap
+    holds (`HeatmapSet.validate`: non-negative, each plane summing to 1 or all
+    zero, hence finite), raise UnreadableInputError.
     """
     if not isinstance(d, dict):
         raise UnreadableInputError("heatmaps are not a JSON object")
@@ -467,10 +469,15 @@ def heatmaps_from_dict(d: dict) -> HeatmapSet:
             f"heatmap data holds {len(raw)} bytes, not the {len(planes) * plane_size * 8} "
             f"of {len(planes)} planes"
         )
+    stored = np.frombuffer(raw, "<f8").reshape(len(planes), plane_size)
+    # HeatmapSet.validate's test on the stored planes alone: the others are zero
+    if np.any(stored < 0):
+        raise UnreadableInputError("heatmap entries must be non-negative")
+    sums = stored.sum(axis=1)
+    if not np.all(np.isclose(sums, 1.0, atol=1e-9) | (sums == 0.0)):
+        raise UnreadableInputError("each (room, class) grid must sum to 1 or be all zero")
     data = np.zeros(shape)
-    data.reshape(n_planes, plane_size)[planes] = np.frombuffer(raw, "<f8").reshape(
-        len(planes), plane_size
-    )
+    data.reshape(n_planes, plane_size)[planes] = stored
     return HeatmapSet(data, room_ids, grid_size, room_frames)
 
 

@@ -13,11 +13,16 @@ The room rows are themselves mostly zero: a class absent from a room has
 an all-zero heatmap plane, and a present object covers only a few cells.
 They are stored as a CSR matrix from encoding through batching, so the
 network's first layer works in proportion to their non-zeros.
+
+Many feature columns are zero in every room of a training split, so their
+rows of w0 have a zero gradient at every step and never change. `train`
+finds the live columns once and steps over those rows of w0 alone, with the
+same bits as stepping over all of w0 (see `train`).
 """
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -235,6 +240,23 @@ def validation_loss(model: CompositionModel, encoded: list[EncodedSample]) -> fl
     return nn.mse_loss(out, np.vstack([e.target for e in encoded]))[0]
 
 
+def _live_columns(encoded: list[EncodedSample]):
+    """The sorted union of the samples' feature columns, and the samples with
+    their features' columns renumbered to positions in that union.
+
+    The renumbering is monotone, so each row's non-zeros keep their order.
+    """
+    live = np.unique(np.concatenate([e.x.indices for e in encoded]))
+    compact = [
+        replace(e, x=sp.csr_matrix(
+            (e.x.data, np.searchsorted(live, e.x.indices).astype(e.x.indices.dtype), e.x.indptr),
+            shape=(e.x.shape[0], len(live)),
+        ))
+        for e in encoded
+    ]
+    return live, compact
+
+
 def train(
     model: CompositionModel,
     train_set: list[BsgSample],
@@ -246,11 +268,24 @@ def train(
     Batches are whole graphs (the final partial batch is used). The model
     with the best validation loss is retained when a validation set is
     given. Returns (model, history) with per-epoch train/val losses.
+
+    Steps run over the live rows of w0 only: those of the feature columns
+    that some training sample holds a non-zero in. Every other row has a
+    zero gradient at every step, so its Adam moments stay exactly 0 and its
+    update is exactly 0: it never changes. The training samples' columns are
+    renumbered once, monotonically, to rows of the contiguous w0[live], so
+    layer 0's products sum the same terms in the same order, and forward,
+    backward and Adam give the same bits as over the full w0. w0[live] is
+    written back into the full w0 before each validation pass and before
+    returning.
     """
     if not train_set:
         raise EmptyDatasetError("empty training set")
-    enc_train = [encode_inputs(s, model) for s in train_set]
+    live, enc_train = _live_columns([encode_inputs(s, model) for s in train_set])
     enc_val = [encode_inputs(s, model) for s in (val_set or [])]
+    w0 = model.params["w0"]
+    # the other parameters are shared with model.params and updated in place
+    params = {**model.params, "w0": w0[live]}
 
     adam = nn.AdamState()
     shuffle_rng = np.random.default_rng(splitmix64(cfg.seed, 1))
@@ -265,18 +300,22 @@ def train(
             batch = [enc_train[i] for i in order[start : start + cfg.batch_size]]
             a, x, rows = _batch(batch)
             out, cache = nn.forward(
-                a, x, model.params, model.stats, model.config,
+                a, x, params, model.stats, model.config,
                 train=True, dropout_rng=dropout_rng, rows=rows,
             )
             loss, d_out = nn.mse_loss(out, np.vstack([e.target for e in batch]))
-            grads = nn.backward(d_out, model.params, cache, model.config)
-            nn.adam_step(model.params, grads, adam, cfg.lr, cfg.lr_decay)
+            grads = nn.backward(d_out, params, cache, model.config)
+            nn.adam_step(params, grads, adam, cfg.lr, cfg.lr_decay)
             epoch_losses.append(loss)
-        val = validation_loss(model, enc_val) if enc_val else None
+        val = None
+        if enc_val:
+            w0[live] = params["w0"]
+            val = validation_loss(model, enc_val)
         history.append({"epoch": epoch, "train": float(np.mean(epoch_losses)), "val": val})
         if enc_val and val < best_val:
             best_val = val
             best = (copy.deepcopy(model.params), copy.deepcopy(model.stats))
+    w0[live] = params["w0"]
     if best is not None:
         model.params, model.stats = best
     return model, history

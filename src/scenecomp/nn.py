@@ -22,6 +22,15 @@ proportion to their non-zeros. The same expressions take a dense x.
 passes run over one L2-sized block (`ADAM_BLOCK` elements) at a time
 rather than over whole arrays, which gives the same bits with far less
 memory traffic.
+
+x's width is w0's row count, not necessarily the config's input width.
+`scenecomp.model.train` steps over the live rows of w0 only: the feature
+columns that some training sample holds a non-zero in, renumbered in
+order. This is exact. Every other row's gradient is zero at every step,
+and an entry whose gradient has always been zero keeps m = v = +0.0 and
+moves by exactly 0 (Kingma & Ba, "Adam", 2015). The renumbering keeps
+each row's non-zeros in order, so layer 0's two products sum the same
+terms in the same order.
 """
 from __future__ import annotations
 
@@ -165,7 +174,8 @@ def forward(
 ):
     """Run the layer stack; returns (output, cache) where cache feeds backward.
 
-    x is a scipy CSR matrix or a dense array; layer 0's x @ w0 is a
+    x is a scipy CSR matrix or a dense array, as wide as w0 has rows
+    (ShapeMismatchError otherwise); layer 0's x @ w0 is a
     sparse x dense product for the former. rows, when given, says that x
     holds the features of these node rows only (every other node's
     features are zero) and asks for these rows of the output only. Layer 0
@@ -177,9 +187,9 @@ def forward(
     In train mode batch norm uses batch statistics (updating the running
     stats in place) and dropout is applied when a dropout_rng is given.
     """
-    if x.shape[1] != config.input_width:
+    if x.shape[1] != params["w0"].shape[0]:
         raise ShapeMismatchError(
-            f"feature width {x.shape[1]} != expected {config.input_width}"
+            f"feature width {x.shape[1]} != expected {params['w0'].shape[0]}"
         )
     sel = slice(None) if rows is None else rows
     h = x

@@ -355,6 +355,24 @@ def test_malformed_prediction_fails_cleanly(tmp_path, capsys, command, case):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("heatmaps", ["input_heatmaps", "target_heatmaps"])
+@pytest.mark.parametrize("case", ["negated-planes", "nan-plane", "inf-plane", "half-mass-plane"])
+def test_train_on_dataset_heatmap_values_fails_cleanly(tmp_path, capsys, heatmaps, case):
+    cfg = _write_config(tmp_path, n_scenes=4)
+    assert main(["--config", str(cfg), "generate"]) == 0
+    sample = tmp_path / "dataset" / "samples" / "sample_00000.json"
+    doc = json.loads(sample.read_text())
+    assert doc[heatmaps]["planes"]
+    change, message = BAD_HEATMAPS[case]
+    doc[heatmaps] = change(doc[heatmaps])
+    sample.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "train"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: dataset sample {sample}: ") and message in err
+    assert not (tmp_path / "checkpoint.json").exists()
+
+
 # blind_counts of a prediction whose heatmaps hold rooms 1 and 9 (any other
 # key is no room of it), each malformed
 BAD_BLIND_COUNTS = {

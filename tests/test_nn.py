@@ -5,6 +5,7 @@ import zipfile
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from scenecomp import nn
 from scenecomp.errors import (
@@ -102,6 +103,16 @@ def test_forward_matches_dense_oracle():
     np.testing.assert_allclose(out, oracle, atol=1e-12)
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_forward_rejects_features_of_the_wrong_width(extra):
+    cfg = _config()
+    params, stats = nn.init_params(cfg, seed=0)
+    width = cfg.input_width + extra
+    for x in (np.ones((3, width)), sp.csr_matrix(np.ones((3, width)))):
+        with pytest.raises(ShapeMismatchError, match=f"feature width {width} != expected {cfg.input_width}"):
+            nn.forward(np.eye(3), x, params, stats, cfg)
+
+
 def test_mse_loss():
     loss, grad = nn.mse_loss(np.array([0.0, 0.0]), np.array([2.0, 0.0]))
     assert loss == pytest.approx(2.0)
@@ -139,10 +150,31 @@ def test_relu_blocks_gradient():
 
 
 def test_adam_zero_gradient():
-    params = {"w": np.array([1.0, -2.0])}
+    # an entry whose gradient has been zero at every step keeps m = v = +0.0
+    # and moves by exactly zero, which is why `model.train` may leave the
+    # rows of w0 that no training sample touches out of every step
+    start = np.array([1.0, -2.0, -0.0, 5e-324])
+    params = {"w": start.copy()}
     state = nn.AdamState()
-    nn.adam_step(params, {"w": np.zeros(2)}, state, lr=0.1)
-    np.testing.assert_allclose(params["w"], [1.0, -2.0])
+    for _ in range(5):
+        nn.adam_step(params, {"w": np.zeros(4)}, state, lr=0.1)
+        assert params["w"].tobytes() == start.tobytes()
+        for moment in (state.m["w"], state.v["w"]):
+            assert np.all(moment == 0.0) and not np.any(np.signbit(moment))
+
+
+def test_adam_once_touched_entry_keeps_moving():
+    # after one non-zero gradient the moments decay but stay non-zero, so
+    # later zero-gradient steps still move the entry: only rows that are
+    # never touched may be left out of a step
+    params = {"w": np.array([1.0])}
+    state = nn.AdamState()
+    nn.adam_step(params, {"w": np.array([0.5])}, state, lr=0.1)
+    for _ in range(5):
+        before = params["w"][0]
+        nn.adam_step(params, {"w": np.zeros(1)}, state, lr=0.1)
+        assert params["w"][0] < before
+        assert state.m["w"][0] > 0.0 and state.v["w"][0] > 0.0
 
 
 def test_adam_first_step_closed_form():

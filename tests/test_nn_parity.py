@@ -13,8 +13,11 @@ as a dense array, and `loop_postprocess` the post-processing that gated
 and renormalized one (room, class) plane at a time in a Python loop, both
 verbatim apart from their names. `one_graph_predict` is `predict` as it
 was before `predict_many`: one graph's own eval-mode forward (the former
-`raw_outputs`), then `postprocess`.
+`raw_outputs`), then `postprocess`. `dense_train` is `train` as it was
+before it stepped over the live rows of w0 only: every step runs forward,
+backward and Adam over the full w0; it too is verbatim apart from its name.
 """
+import copy
 import dataclasses
 
 import numpy as np
@@ -24,14 +27,20 @@ import scipy.sparse as sp
 from scenecomp import nn
 from scenecomp.catalog import default_catalog
 from scenecomp.dataset import default_templates, generate_synthetic_scene, make_sample
-from scenecomp.dataset import BsgSample
-from scenecomp.errors import ConfigMismatchError, NonFiniteError, ShapeMismatchError
+from scenecomp.dataset import BsgSample, splitmix64
+from scenecomp.errors import (
+    ConfigMismatchError,
+    EmptyDatasetError,
+    NonFiniteError,
+    ShapeMismatchError,
+)
 from scenecomp.graphs import BELIEF, BUILDING, ROOM, SceneGraph, SceneNode, augment, build_graph
 from scenecomp.model import (
     BASE,
     BASE_ONT,
     CompositionModel,
     EncodedSample,
+    TrainConfig,
     _batch,
     encode_inputs,
     evaluate_model,
@@ -39,6 +48,8 @@ from scenecomp.model import (
     postprocess,
     predict,
     predict_many,
+    train,
+    validation_loss,
 )
 from scenecomp.nn import BN_EPS, AdamState, ModelConfig
 from scenecomp.ontology import class_affinity, default_ontology
@@ -269,6 +280,53 @@ def loop_postprocess(
         s,
         sample.input_heatmaps.room_frames,
     )
+
+
+def dense_train(
+    model: CompositionModel,
+    train_set: list[BsgSample],
+    val_set: list[BsgSample] | None,
+    cfg: TrainConfig,
+):
+    """Mini-batch Adam on raw-output MSE over room rows.
+
+    Batches are whole graphs (the final partial batch is used). The model
+    with the best validation loss is retained when a validation set is
+    given. Returns (model, history) with per-epoch train/val losses.
+    """
+    if not train_set:
+        raise EmptyDatasetError("empty training set")
+    enc_train = [encode_inputs(s, model) for s in train_set]
+    enc_val = [encode_inputs(s, model) for s in (val_set or [])]
+
+    adam = nn.AdamState()
+    shuffle_rng = np.random.default_rng(splitmix64(cfg.seed, 1))
+    dropout_rng = np.random.default_rng(splitmix64(cfg.seed, 2))
+    history = []
+    best_val = float("inf")
+    best = None
+    for epoch in range(cfg.epochs):
+        order = shuffle_rng.permutation(len(enc_train))
+        epoch_losses = []
+        for start in range(0, len(order), cfg.batch_size):
+            batch = [enc_train[i] for i in order[start : start + cfg.batch_size]]
+            a, x, rows = _batch(batch)
+            out, cache = nn.forward(
+                a, x, model.params, model.stats, model.config,
+                train=True, dropout_rng=dropout_rng, rows=rows,
+            )
+            loss, d_out = nn.mse_loss(out, np.vstack([e.target for e in batch]))
+            grads = nn.backward(d_out, model.params, cache, model.config)
+            nn.adam_step(model.params, grads, adam, cfg.lr, cfg.lr_decay)
+            epoch_losses.append(loss)
+        val = validation_loss(model, enc_val) if enc_val else None
+        history.append({"epoch": epoch, "train": float(np.mean(epoch_losses)), "val": val})
+        if enc_val and val < best_val:
+            best_val = val
+            best = (copy.deepcopy(model.params), copy.deepcopy(model.stats))
+    if best is not None:
+        model.params, model.stats = best
+    return model, history
 
 
 # --- parity ----------------------------------------------------------------
@@ -635,3 +693,70 @@ def test_evaluate_model_equals_loop_report(case):
     assert report == loop_evaluate_many(pairs, provenance)
     assert report.wasserstein.n > 0
     assert report.frobenius.n == sum(len(s.input_heatmaps.room_ids) for s in test_set)
+
+
+def _split(seeds, grid):
+    catalog = default_catalog()
+    return [
+        make_sample(
+            augment(generate_synthetic_scene(default_templates(), 3, seed, catalog), 0.25, seed),
+            0.25, grid, seed,
+        )
+        for seed in seeds
+    ]
+
+
+def _columns(model, samples) -> set:
+    return {int(c) for s in samples for c in encode_inputs(s, model).x.indices}
+
+
+# name -> (model config, training seeds, validation seeds, train config)
+TRAIN_CASES = {
+    # validation touches input rows that no training sample does
+    "base_ont-s16-h64-dropout": (
+        dict(variant=BASE_ONT, grid_size=16, hidden=64, dropout=0.2),
+        range(6), range(100, 103), TrainConfig(epochs=3, batch_size=4, lr=1e-3, seed=1),
+    ),
+    "base-s32-h256": (
+        dict(variant=BASE, grid_size=32, hidden=256),
+        range(5), (), TrainConfig(epochs=2, batch_size=3, lr=1e-3, seed=2),
+    ),
+    "rooms_only": (
+        dict(variant=BASE_ONT, grid_size=GRID, hidden=16, rooms_only=True),
+        range(6), range(100, 103), TrainConfig(epochs=3, batch_size=4, lr=1e-3, seed=3),
+    ),
+    # the validation loss is lowest after an earlier epoch than the last
+    "best-epoch-earlier": (
+        dict(variant=BASE, grid_size=GRID, hidden=16),
+        range(6), range(100, 103), TrainConfig(epochs=4, batch_size=4, lr=1e-3, lr_decay=0.0, seed=2),
+    ),
+}
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", TRAIN_CASES)
+def test_train_bitwise_equals_dense_train(case):
+    config, train_seeds, val_seeds, tc = TRAIN_CASES[case]
+    catalog = default_catalog()
+    config = ModelConfig(n_classes=catalog.n, **config)
+    affinity = class_affinity(default_ontology()) if config.variant == BASE_ONT else None
+    train_set, val_set = _split(train_seeds, config.grid_size), _split(val_seeds, config.grid_size)
+    runs = []
+    for fit in (dense_train, train):
+        model = new_model(config, catalog.hash(), seed=3, affinity=affinity)
+        runs.append(fit(model, train_set, val_set, tc))
+    (ref, ref_history), (got, history) = runs
+    assert history == ref_history and len(history) == tc.epochs
+    for part in ("params", "stats"):
+        ref_arrays, got_arrays = getattr(ref, part), getattr(got, part)
+        assert set(got_arrays) == set(ref_arrays)
+        for k in ref_arrays:
+            assert _same_bits(got_arrays[k], ref_arrays[k]), (part, k)
+    if case == "base_ont-s16-h64-dropout":
+        assert _columns(got, val_set) - _columns(got, train_set)
+    if case == "best-epoch-earlier":
+        vals = [h["val"] for h in history]
+        assert vals.index(min(vals)) < len(vals) - 1
