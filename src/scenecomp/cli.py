@@ -3,6 +3,10 @@
 Every artifact embeds {S, catalog_hash, seed, tool_version}; another stage's
 artifact of another S or catalog is a hard error, never a silent recompute.
 Flags override config file values.
+
+`train` and `eval` check the dataset manifest whole but read and check only
+the samples they use: `train` the train split and the val split (optional),
+`eval` the test split.
 """
 from __future__ import annotations
 
@@ -223,16 +227,20 @@ def cmd_generate(cfg: RunConfig) -> None:
     )
 
 
-def _load_dataset_checked(cfg: RunConfig):
-    _require(Path(cfg.dataset_dir) / "manifest.json", "dataset manifest")
-    manifest, splits = load_dataset(cfg.dataset_dir)
+def _load_dataset_checked(cfg: RunConfig, needed: str, *optional: str):
+    """{split: [BsgSample]} of the split `needed` and those of `optional` the
+    manifest lists; the dataset's other samples are not read."""
+    path = _require(Path(cfg.dataset_dir) / "manifest.json", "dataset manifest")
+    manifest, splits = load_dataset(cfg.dataset_dir, (needed, *optional))
+    if needed not in splits:
+        raise UnreadableInputError(f"dataset manifest {path} has no {needed!r} split")
     if manifest["grid_size"] != cfg.grid_size:
         raise ConfigMismatchError(
             f"dataset grid size {manifest['grid_size']} != configured {cfg.grid_size}"
         )
     if manifest["catalog_hash"] != default_catalog().hash():
         raise ConfigMismatchError("dataset catalog hash mismatch")
-    return manifest, splits
+    return splits
 
 
 def _model_config(cfg: RunConfig) -> ModelConfig:
@@ -258,7 +266,7 @@ def _affinity(cfg: RunConfig):
 
 
 def cmd_train(cfg: RunConfig) -> None:
-    _, splits = _load_dataset_checked(cfg)
+    splits = _load_dataset_checked(cfg, "train", "val")
     m = new_model(_model_config(cfg), default_catalog().hash(), cfg.seed, _affinity(cfg))
     tc = TrainConfig(cfg.epochs, cfg.batch_size, cfg.lr, cfg.lr_decay, cfg.seed)
     m, history = train(m, splits["train"], splits.get("val"), tc)
@@ -293,11 +301,11 @@ def _load_model(cfg: RunConfig) -> CompositionModel:
 
 
 def cmd_eval(cfg: RunConfig) -> None:
-    manifest, splits = _load_dataset_checked(cfg)
+    test = _load_dataset_checked(cfg, "test")["test"]
     m = _load_model(cfg)
     report = evaluate_model(
         m,
-        splits["test"],
+        test,
         provenance={
             "checkpoint_hash": _file_hash(cfg.checkpoint),
             "dataset_manifest_hash": _file_hash(Path(cfg.dataset_dir) / "manifest.json"),

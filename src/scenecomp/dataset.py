@@ -571,11 +571,19 @@ def _load_sample(path: Path, grid_size, catalog_hash) -> BsgSample:
     return s
 
 
-def load_dataset(in_dir):
+def _is_sample_name(name) -> bool:
+    return isinstance(name, str) and Path(name).name == name and name.endswith(".json")
+
+
+def load_dataset(in_dir, splits=None):
     """Read a dataset directory; returns (manifest, {split: [BsgSample]}).
 
-    The manifest and every sample must be of format version FORMAT_VERSION,
-    and every sample of the manifest's grid size and catalog; otherwise
+    The manifest is read and checked whole: it must be of format version
+    FORMAT_VERSION, and each of its splits a list of sample file names in
+    `samples/`. Only the samples of the splits named in `splits` are then
+    read and checked (None: every split; a named split the manifest lacks is
+    left out of the result). Each must be of format version FORMAT_VERSION
+    and of the manifest's grid size and catalog; otherwise
     ConfigMismatchError. A file that is not a well-formed manifest or sample
     raises UnreadableInputError.
     """
@@ -585,14 +593,17 @@ def load_dataset(in_dir):
     _check_version(manifest, f"dataset manifest {path}")
     try:
         grid_size, catalog_hash = manifest["grid_size"], manifest["catalog_hash"]
-        paths = {
-            split: [in_dir / "samples" / name for name in names]
-            for split, names in manifest["splits"].items()
-        }
+        listed = manifest["splits"].items()
     except (AttributeError, KeyError, TypeError) as e:
         raise UnreadableInputError(f"unreadable dataset manifest {path}: {e!r}") from e
-    splits = {
-        split: [_load_sample(p, grid_size, catalog_hash) for p in split_paths]
-        for split, split_paths in paths.items()
+    for split, names in listed:
+        if not isinstance(names, list) or not all(map(_is_sample_name, names)):
+            raise UnreadableInputError(
+                f"dataset manifest {path}: split {split!r} is not a list of sample file names"
+            )
+    samples = in_dir / "samples"
+    return manifest, {
+        split: [_load_sample(samples / name, grid_size, catalog_hash) for name in names]
+        for split, names in listed
+        if splits is None or split in splits
     }
-    return manifest, splits

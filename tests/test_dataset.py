@@ -5,6 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
+import scenecomp.dataset as dataset_module
 from scenecomp.catalog import default_catalog
 from scenecomp.cli import main
 from scenecomp.dataset import (
@@ -238,9 +239,11 @@ def _write_config(tmp_path, name, **values):
     return path
 
 
-def _generate(tmp_path, grid_size):
+def _generate(tmp_path, grid_size, **values):
     ds = tmp_path / f"ds{grid_size}"
-    cfg = _write_config(tmp_path, f"c{grid_size}.json", dataset_dir=str(ds), grid_size=grid_size)
+    cfg = _write_config(
+        tmp_path, f"c{grid_size}.json", dataset_dir=str(ds), grid_size=grid_size, **values
+    )
     assert main(["--config", str(cfg), "generate"]) == 0
     return cfg, ds
 
@@ -294,20 +297,132 @@ def test_sample_of_other_catalog_refused(tmp_path, small_catalog, toy_template):
         load_dataset(tmp_path)
 
 
+NOT_NAMES = "split {!r} is not a list of sample file names"
+
+
+def _set_split(name, value):
+    return lambda d: d["splits"].update({name: value})
+
+
+def _first_of_split(name, value):
+    return lambda d: d["splits"][name].__setitem__(0, value)
+
+
 @pytest.mark.parametrize(
-    "file, change, message",
+    "command, file, change, message",
     [
-        ("manifest.json", lambda d: d.pop("splits"), "unreadable dataset manifest"),
-        ("manifest.json", lambda d: d.update(splits=["train"]), "unreadable dataset manifest"),
-        ("sample_00000.json", lambda d: d.pop("graph"), "unreadable dataset sample"),
-        ("sample_00000.json", lambda d: d["target_heatmaps"].pop("planes"), "lack the keys ['planes']"),
+        ("train", "manifest.json", lambda d: d.pop("splits"), "unreadable dataset manifest"),
+        ("train", "manifest.json", lambda d: d.update(splits=["train"]), "unreadable dataset manifest"),
+        ("train", "sample_00000.json", lambda d: d.pop("graph"), "unreadable dataset sample"),
+        ("train", "sample_00000.json", lambda d: d["target_heatmaps"].pop("planes"), "lack the keys ['planes']"),
+        ("train", "manifest.json", lambda d: d["splits"].pop("train"), "has no 'train' split"),
+        ("eval", "manifest.json", lambda d: d["splits"].pop("test"), "has no 'test' split"),
+        ("eval", "manifest.json", _set_split("test", "sample_00001.json"), NOT_NAMES.format("test")),
+        ("eval", "manifest.json", _set_split("test", {"0": "sample_00001.json"}), NOT_NAMES.format("test")),
+        ("eval", "manifest.json", _first_of_split("test", "../manifest.json"), NOT_NAMES.format("test")),
+        ("eval", "manifest.json", _first_of_split("test", "samples/x.json"), NOT_NAMES.format("test")),
+        ("eval", "manifest.json", _first_of_split("test", "sample_00001"), NOT_NAMES.format("test")),
+        ("eval", "manifest.json", _first_of_split("test", 1), NOT_NAMES.format("test")),
+        ("eval", "manifest.json", _first_of_split("train", "../manifest.json"), NOT_NAMES.format("train")),
+        ("train", "manifest.json", _set_split("test", "sample_00001.json"), NOT_NAMES.format("test")),
     ],
-    ids=["manifest-without-splits", "splits-not-an-object", "sample-without-graph", "dense-heatmaps"],
+    ids=[
+        "manifest-without-splits",
+        "splits-not-an-object",
+        "sample-without-graph",
+        "dense-heatmaps",
+        "train-without-train-split",
+        "eval-without-test-split",
+        "split-a-string",
+        "split-an-object",
+        "name-outside-samples",
+        "name-with-directory",
+        "name-without-json",
+        "name-not-a-string",
+        "unread-split-checked",
+        "unread-split-checked-by-train",
+    ],
 )
-def test_malformed_dataset_fails_cleanly(tmp_path, capsys, file, change, message):
-    cfg, ds = _generate(tmp_path, 8)
+def test_malformed_dataset_fails_cleanly(tmp_path, capsys, command, file, change, message):
+    cfg, ds = _generate(tmp_path, 8, n_scenes=10)
     _rewrite(ds / file if file == "manifest.json" else ds / "samples" / file, change)
     capsys.readouterr()
-    assert main(["--config", str(cfg), "train"]) == 1
+    assert main(["--config", str(cfg), command]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    if file == "manifest.json":
+        assert str(ds / "manifest.json") in err
+
+
+# --- which samples each command reads --------------------------------------
+
+
+@pytest.fixture
+def trained(tmp_path):
+    """A 10-scene dataset (8/1/1 train/val/test) and a checkpoint trained on it."""
+    cfg, ds = _generate(tmp_path, 8, n_scenes=10)
+    assert main(["--config", str(cfg), "train"]) == 0
+    splits = json.loads((ds / "manifest.json").read_text())["splits"]
+    assert [len(splits[k]) for k in ("train", "val", "test")] == [8, 1, 1]
+    return cfg, ds, splits
+
+
+def _count_sample_reads(monkeypatch):
+    read = []
+    load_sample = dataset_module._load_sample
+
+    def counting(path, *args):
+        read.append(path.name)
+        return load_sample(path, *args)
+
+    monkeypatch.setattr(dataset_module, "_load_sample", counting)
+    return read
+
+
+@pytest.mark.parametrize("command, split_names", [("train", ("train", "val")), ("eval", ("test",))])
+def test_command_reads_exactly_its_splits(trained, monkeypatch, command, split_names):
+    cfg, _, splits = trained
+    read = _count_sample_reads(monkeypatch)
+    assert main(["--config", str(cfg), command]) == 0
+    assert read == [name for split in split_names for name in splits[split]]
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def test_eval_ignores_a_truncated_train_sample(trained, tmp_path):
+    cfg, ds, splits = trained
+    report = tmp_path / "out" / "metrics_report.json"
+    assert main(["--config", str(cfg), "eval"]) == 0
+    before = report.read_bytes()
+    report.unlink()
+    _truncate(ds / "samples" / splits["train"][0])
+    assert main(["--config", str(cfg), "eval"]) == 0
+    assert report.read_bytes() == before
+
+
+def test_eval_fails_on_a_truncated_test_sample(trained, capsys):
+    cfg, ds, splits = trained
+    sample = ds / "samples" / splits["test"][0]
+    _truncate(sample)
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "eval"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: unreadable JSON file {sample}: ")
+
+
+def test_load_dataset_of_named_splits_equals_whole_load(tmp_path):
+    _, ds = _generate(tmp_path, 8, n_scenes=10)
+    manifest, whole = load_dataset(ds)
+    assert list(whole) == ["test", "train", "val"]  # the manifest's sorted keys
+    assert [len(whole[k]) for k in ("train", "val", "test")] == [8, 1, 1]
+    named_manifest, named = load_dataset(ds, ("test",))
+    assert named_manifest == manifest and list(named) == ["test"]
+    assert load_dataset(ds, ("absent",))[1] == {}
+    for a, b in zip(named["test"], whole["test"], strict=True):
+        for h in ("input_heatmaps", "target_heatmaps", "counts"):
+            assert getattr(a, h).data.tobytes() == getattr(b, h).data.tobytes()
+            assert getattr(a, h).room_ids == getattr(b, h).room_ids
+        assert a.input_heatmaps.room_frames == b.input_heatmaps.room_frames
+        assert a.graph.nodes == b.graph.nodes and a.graph.edges == b.graph.edges
+        assert a.masked == b.masked

@@ -238,6 +238,7 @@ def test_dropout_inverted_scaling():
     assert np.mean(z > 3.0) < 0.02
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_detected():
     cfg = _config(linear_only=True, n_layers=2)
     params, stats = nn.init_params(cfg, seed=15)
