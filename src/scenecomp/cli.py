@@ -49,7 +49,6 @@ from .layout import (
     layout_to_dict,
     place_blind_nodes,
 )
-from .metrics import FLATTENING_CONVENTION
 from .model import (
     BASE,
     BASE_ONT,
@@ -309,7 +308,6 @@ def cmd_eval(cfg: RunConfig) -> None:
         provenance={
             "checkpoint_hash": _file_hash(cfg.checkpoint),
             "dataset_manifest_hash": _file_hash(Path(cfg.dataset_dir) / "manifest.json"),
-            "flattening_convention": FLATTENING_CONVENTION,
         },
     )
     out_dir = Path(cfg.output_dir)

@@ -1,8 +1,10 @@
 """Training-sample generation: blind-node masking, synthetic scenes, splits.
 
 A sample pairs a belief graph (partial heatmaps + full counts) with the
-ground-truth heatmaps the model should recover. Synthetic scenes stand in
-for large annotated 3D datasets at desk scale.
+ground-truth heatmaps the model should recover. A sample file stores only
+the graph, the target and the masked instances: reading it rasterizes the
+input heatmaps and counts from the graph again, as `make_sample` does.
+Synthetic scenes stand in for large annotated 3D datasets at desk scale.
 """
 from __future__ import annotations
 
@@ -35,11 +37,12 @@ from .graphs import (
     build_graph,
     graph_from_dict,
     graph_to_dict,
+    rooms_of,
 )
 from .raster import DEFAULT_GRID_SIZE, Frame, HeatmapSet, ObjectCounts, rasterize, room_frame
 
-# Version 2 stores only the heatmap planes that are not all zero.
-FORMAT_VERSION = 2
+# Version 3 samples hold no input heatmaps or counts: they are rasterized on read.
+FORMAT_VERSION = 3
 
 
 def splitmix64(seed: int, index: int) -> int:
@@ -482,30 +485,42 @@ def heatmaps_from_dict(d: dict) -> HeatmapSet:
 
 
 def sample_to_dict(s: BsgSample) -> dict:
+    """A sample as JSON-ready data: what its belief graph cannot give."""
     return {
         "version": FORMAT_VERSION,
         "graph": graph_to_dict(s.graph),
-        "input_heatmaps": heatmaps_to_dict(s.input_heatmaps),
         "target_heatmaps": heatmaps_to_dict(s.target_heatmaps),
-        "counts": {
-            "room_ids": list(s.counts.room_ids),
-            "data": [[int(v) for v in row] for row in s.counts.data],
-        },
         "masked": [list(m) for m in s.masked],
     }
 
 
 def sample_from_dict(d: dict) -> BsgSample:
-    counts = ObjectCounts(
-        np.array(d["counts"]["data"], dtype=np.int64), tuple(d["counts"]["room_ids"])
-    )
-    return BsgSample(
-        graph_from_dict(d["graph"]),
-        heatmaps_from_dict(d["input_heatmaps"]),
-        counts,
-        heatmaps_from_dict(d["target_heatmaps"]),
-        tuple(tuple(m) for m in d["masked"]),
-    )
+    """The sample that sample_to_dict wrote, its input heatmaps and counts
+    rasterized from its graph within the target's room frames. The target
+    must span the graph's rooms in id order, non-zero exactly where the graph
+    counts a node, and `masked` must hold one [room id, class index, node id]
+    int triple per blind node, of its room and class; else UnreadableInputError.
+    """
+    graph, target = graph_from_dict(d["graph"]), heatmaps_from_dict(d["target_heatmaps"])
+    room_ids = tuple(r.id for r in rooms_of(graph))
+    if target.room_ids != room_ids or target.grid_size == 0:
+        raise UnreadableInputError(
+            f"target heatmaps of room ids {list(target.room_ids)} at grid size "
+            f"{target.grid_size} are not the graph's rooms {list(room_ids)}"
+        )
+    frames = dict(zip(room_ids, target.room_frames))
+    input_heatmaps, counts = rasterize(graph, target.grid_size, frames_override=frames)
+    if not np.array_equal(target.data.any(axis=(2, 3)), counts.data > 0):
+        raise UnreadableInputError("target heatmaps' non-zero planes are not the graph's counts")
+    masked, parent = d["masked"], {c: p for p, c in graph.edges}
+    if not (
+        isinstance(masked, list)
+        and all(isinstance(m, list) and [type(v) for v in m] == [int] * 3 for m in masked)
+        and sorted((r, c) for r, c, _ in masked)
+        == sorted((parent[n.id], n.class_index) for n in graph.nodes_in_layer(BLIND))
+    ):
+        raise UnreadableInputError("masked is not an int triple [room, class, node] per blind node")
+    return BsgSample(graph, input_heatmaps, counts, target, tuple(map(tuple, masked)))
 
 
 def save_dataset(
@@ -559,13 +574,12 @@ def _load_sample(path: Path, grid_size, catalog_hash) -> BsgSample:
         raise UnreadableInputError(f"dataset sample {path}: {e}") from e
     except (KeyError, TypeError, ValueError) as e:
         raise UnreadableInputError(f"unreadable dataset sample {path}: {e!r}") from e
-    # heatmaps_from_dict has matched the last two shape axes to grid_size
-    for h in (s.input_heatmaps, s.target_heatmaps):
-        if h.grid_size != grid_size:
-            raise ConfigMismatchError(
-                f"dataset sample {path}: grid size {h.grid_size} "
-                f"!= manifest grid size {grid_size}"
-            )
+    # the target's shape fits its grid size, and the input is rasterized at it
+    if s.target_heatmaps.grid_size != grid_size:
+        raise ConfigMismatchError(
+            f"dataset sample {path}: grid size {s.target_heatmaps.grid_size} "
+            f"!= manifest grid size {grid_size}"
+        )
     if s.graph.catalog.hash() != catalog_hash:
         raise ConfigMismatchError(f"dataset sample {path}: catalog hash differs from the manifest's")
     return s

@@ -30,7 +30,6 @@ import scipy.sparse as sp
 from . import nn
 from .dataset import BsgSample, splitmix64
 from .errors import ConfigMismatchError, EmptyDatasetError
-from .graphs import BUILDING, ROOM
 from .ontology import ClassAffinity
 from .raster import HeatmapSet
 
@@ -90,14 +89,8 @@ def encode_inputs(sample: BsgSample, model: CompositionModel) -> EncodedSample:
         raise ConfigMismatchError(
             f"sample catalog size {sample.graph.catalog.n} != model {cfg.n_classes}"
         )
-    g = sample.graph
-    if cfg.rooms_only:
-        keep = {n.id for n in g.nodes if n.layer in (BUILDING, ROOM)}
-        node_ids = sorted(keep)
-    else:
-        node_ids = sorted(n.id for n in g.nodes)
-    a_hat = nn.normalized_adjacency(g, node_ids)
-    index = {nid: i for i, nid in enumerate(node_ids)}
+    a_hat = nn.normalized_adjacency(sample.graph)
+    index = {nid: i for i, nid in enumerate(sorted(n.id for n in sample.graph.nodes))}
     heat = sample.input_heatmaps
     n_rooms, plane = len(heat.room_ids), cfg.grid_size ** 2
     block = cfg.n_classes * plane

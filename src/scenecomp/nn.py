@@ -63,7 +63,6 @@ class ModelConfig:
     dropout: float = 0.2
     bn_momentum: float = 0.1
     linear_only: bool = False  # drop BN/ReLU/dropout (exact-quadratic checks)
-    rooms_only: bool = False  # message passing over room+building subgraph
 
     @property
     def input_width(self) -> int:
@@ -130,22 +129,16 @@ def init_params(config: ModelConfig, seed: int = 0):
     return params, stats
 
 
-def normalized_adjacency(g: SceneGraph, node_ids: list[int] | None = None) -> sp.csr_matrix:
+def normalized_adjacency(g: SceneGraph) -> sp.csr_matrix:
     """Symmetric degree-normalized adjacency with self-loops, D^-1/2 A D^-1/2.
 
-    node_ids fixes the row/column order; defaults to all nodes in id order.
-    Edges with an end outside node_ids are dropped and duplicate edges count
-    once. Each entry is the single product d[row] * d[col] of the degrees'
-    inverse square roots.
+    Rows and columns are the graph's nodes in id order; duplicate edges
+    count once. Each entry is the single product d[row] * d[col] of the
+    degrees' inverse square roots.
     """
-    if node_ids is None:
-        node_ids = sorted(n.id for n in g.nodes)
-    index = {nid: i for i, nid in enumerate(node_ids)}
-    n = len(node_ids)
-    ends = np.array(
-        [(index[p], index[c]) for p, c in g.edges if p in index and c in index],
-        dtype=np.intp,
-    ).reshape(-1, 2)
+    index = {nid: i for i, nid in enumerate(sorted(n.id for n in g.nodes))}
+    n = len(index)
+    ends = np.array([(index[p], index[c]) for p, c in g.edges], dtype=np.intp).reshape(-1, 2)
     loops = np.arange(n)
     rows = np.concatenate([loops, ends[:, 0], ends[:, 1]])
     cols = np.concatenate([loops, ends[:, 1], ends[:, 0]])
@@ -432,7 +425,8 @@ def grad_check(config: ModelConfig, seed: int = 0, h: float = 1e-5, n_nodes: int
 
 # --- checkpoints ----------------------------------------------------------
 
-CHECKPOINT_VERSION = 2
+# Changed whenever a stored config or array set would no longer load as written.
+CHECKPOINT_VERSION = 3
 # Every member carries this fixed time, so equal checkpoints are equal bytes.
 _ZIP_TIME = (1980, 1, 1, 0, 0, 0)
 _META = "meta.json"
@@ -497,7 +491,7 @@ def _read_arrays(zf: zipfile.ZipFile) -> dict:
 
 
 def _read_checkpoint(path):
-    """The meta dict and {section: {name: array}} of a version-2 checkpoint.
+    """The meta dict and {section: {name: array}} of a current-version checkpoint.
 
     The format is told from the content, not the file name. A version-1
     (one JSON document) or other-version checkpoint raises

@@ -147,13 +147,21 @@ def test_split_deterministic():
 
 
 def test_sample_round_trip(small_catalog, toy_template):
-    s = toy_samples(small_catalog, toy_template, n=1)[0]
-    s2 = sample_from_dict(sample_to_dict(s))
-    np.testing.assert_array_equal(s.input_heatmaps.data, s2.input_heatmaps.data)
-    np.testing.assert_array_equal(s.target_heatmaps.data, s2.target_heatmaps.data)
-    np.testing.assert_array_equal(s.counts.data, s2.counts.data)
-    assert s.masked == s2.masked
-    assert s.graph.edges == s2.graph.edges
+    # the input heatmaps and counts are not stored: reading rasterizes them again
+    for grid_size in (8, 16, 32):
+        s = toy_samples(small_catalog, toy_template, n=1, grid_size=grid_size)[0]
+        s2 = sample_from_dict(json.loads(json.dumps(sample_to_dict(s))))
+        for name in ("input_heatmaps", "target_heatmaps"):
+            h, h2 = getattr(s, name), getattr(s2, name)
+            assert h2.data.tobytes() == h.data.tobytes()
+            assert (h2.data.shape, h2.room_ids, h2.grid_size, h2.room_frames) == (
+                h.data.shape, h.room_ids, h.grid_size, h.room_frames
+            )
+        assert s2.counts.data.dtype == s.counts.data.dtype
+        assert s2.counts.data.tobytes() == s.counts.data.tobytes()
+        assert s2.counts.room_ids == s.counts.room_ids
+        assert s.masked == s2.masked
+        assert s.graph.nodes == s2.graph.nodes and s.graph.edges == s2.graph.edges
 
 
 def test_dataset_dir_round_trip(tmp_path, small_catalog, toy_template):
@@ -254,28 +262,42 @@ def _rewrite(path, change):
     path.write_text(json.dumps(doc))
 
 
+def _to_version_2(doc):
+    # version 2 also stored the input heatmaps and counts
+    s = sample_from_dict(doc)
+    doc["version"] = 2
+    doc["input_heatmaps"] = heatmaps_to_dict(s.input_heatmaps)
+    doc["counts"] = {"room_ids": list(s.counts.room_ids), "data": s.counts.data.tolist()}
+
+
 def _to_version_1(doc):
+    _to_version_2(doc)
     doc["version"] = 1
     for key in ("input_heatmaps", "target_heatmaps"):
         doc[key] = dense_heatmaps_to_dict(heatmaps_from_dict(doc[key]))
 
 
-@pytest.mark.parametrize("whole", [True, False], ids=["dataset", "one-sample"])
-def test_version_1_dataset_refused(tmp_path, capsys, whole):
+@pytest.mark.parametrize(
+    "version, whole",
+    [(1, True), (1, False), (2, True), (2, False)],
+    ids=["dataset", "one-sample", "version-2-dataset", "version-2-one-sample"],
+)
+def test_version_1_dataset_refused(tmp_path, capsys, version, whole):
     cfg, ds = _generate(tmp_path, 8)
+    to_version = {1: _to_version_1, 2: _to_version_2}[version]
     sample = sorted((ds / "samples").iterdir())[1]
-    _rewrite(sample, _to_version_1)
+    _rewrite(sample, to_version)
     if whole:
         for other in (ds / "samples").iterdir():
             if other != sample:
-                _rewrite(other, _to_version_1)
-        _rewrite(ds / "manifest.json", lambda m: m.update(version=1))
+                _rewrite(other, to_version)
+        _rewrite(ds / "manifest.json", lambda m: m.update(version=version))
     capsys.readouterr()
     assert main(["--config", str(cfg), "train"]) == 1
     err = capsys.readouterr().err
     what = "dataset manifest" if whole else f"dataset sample {sample}"
     assert err.startswith(f"error: {what}")
-    assert "has format version 1; only version 2 can be read: regenerate" in err
+    assert f"has format version {version}; only version 3 can be read: regenerate" in err
 
 
 def test_sample_of_other_grid_size_refused(tmp_path, capsys):
@@ -308,6 +330,28 @@ def _first_of_split(name, value):
     return lambda d: d["splits"][name].__setitem__(0, value)
 
 
+def _drop_last_target_plane(d):
+    h = d["target_heatmaps"]
+    raw = base64.b64decode(h["data_b64"])
+    h["planes"] = h["planes"][:-1]
+    h["data_b64"] = base64.b64encode(raw[: -8 * h["grid_size"] ** 2]).decode("ascii")
+
+
+def _reverse_target_rooms(d):
+    h = d["target_heatmaps"]
+    assert len(h["room_ids"]) > 1
+    h["room_ids"] = h["room_ids"][::-1]
+
+
+def _shift_first_masked_class(d):
+    d["masked"][0][1] += 1
+
+
+def _target_of_grid_size_0(d):
+    h = d["target_heatmaps"]
+    h.update(grid_size=0, shape=h["shape"][:2] + [0, 0], data_b64="")
+
+
 @pytest.mark.parametrize(
     "command, file, change, message",
     [
@@ -325,6 +369,11 @@ def _first_of_split(name, value):
         ("eval", "manifest.json", _first_of_split("test", 1), NOT_NAMES.format("test")),
         ("eval", "manifest.json", _first_of_split("train", "../manifest.json"), NOT_NAMES.format("train")),
         ("train", "manifest.json", _set_split("test", "sample_00001.json"), NOT_NAMES.format("test")),
+        ("train", "sample_00000.json", _reverse_target_rooms, "are not the graph's rooms"),
+        ("train", "sample_00000.json", _target_of_grid_size_0, "at grid size 0"),
+        ("train", "sample_00000.json", _drop_last_target_plane, "non-zero planes are not the graph's counts"),
+        ("train", "sample_00000.json", lambda d: d.update(masked="abc"), "masked is not an int triple"),
+        ("train", "sample_00000.json", _shift_first_masked_class, "per blind node"),
     ],
     ids=[
         "manifest-without-splits",
@@ -341,17 +390,22 @@ def _first_of_split(name, value):
         "name-not-a-string",
         "unread-split-checked",
         "unread-split-checked-by-train",
+        "target-rooms-not-the-graphs",
+        "target-of-grid-size-0",
+        "target-plane-the-graph-does-not-count",
+        "masked-a-string",
+        "masked-class-not-a-blind-nodes",
     ],
 )
 def test_malformed_dataset_fails_cleanly(tmp_path, capsys, command, file, change, message):
     cfg, ds = _generate(tmp_path, 8, n_scenes=10)
-    _rewrite(ds / file if file == "manifest.json" else ds / "samples" / file, change)
+    path = ds / file if file == "manifest.json" else ds / "samples" / file
+    _rewrite(path, change)
     capsys.readouterr()
     assert main(["--config", str(cfg), command]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
-    if file == "manifest.json":
-        assert str(ds / "manifest.json") in err
+    assert str(path) in err
 
 
 # --- which samples each command reads --------------------------------------

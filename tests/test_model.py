@@ -212,15 +212,3 @@ def test_evaluate_model_perfect_and_uniform(catalog):
     d = report_m.to_dict()
     for key in ("wasserstein", "energy", "frobenius"):
         assert set(d[key]) == {"n", "mean", "variance", "skewness", "kurtosis"}
-
-
-def test_rooms_only_flag(catalog):
-    s = _sample(catalog)
-    cfg = nn.ModelConfig(
-        variant=BASE, n_classes=catalog.n, grid_size=8, hidden=8, rooms_only=True
-    )
-    m = new_model(cfg, catalog.hash(), 0)
-    enc = encode_inputs(s, m)
-    n_rooms = len(s.graph.nodes_in_layer(ROOM))
-    assert enc.a_hat.shape[0] == n_rooms + 1  # rooms plus the building node
-    predict(m, s).validate()

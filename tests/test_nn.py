@@ -422,7 +422,9 @@ def test_unreadable_checkpoint_raises_named_error(tmp_path, corrupt):
     [
         # version 1 wrote one JSON document of float lists
         (lambda path: path.write_text(json.dumps({"version": 1, "config": {}, "params": {}})), "JSON file of format version 1"),
-        (lambda path: _rewrite_members(path, _with_version(3)), "zip file of format version 3"),
+        # version 2's config had a rooms_only field
+        (lambda path: _rewrite_members(path, _with_version(2)), "zip file of format version 2"),
+        (lambda path: _rewrite_members(path, _with_version(4)), "zip file of format version 4"),
         (lambda path: _rewrite_members(path, _with_version("2")), "zip file of format version '2'"),
     ],
 )

@@ -11,9 +11,10 @@ in a Python loop and scaled with sparse diagonal products, also verbatim.
 `dense_encode_inputs` is the encoder that stored the room rows' features
 as a dense array, and `loop_postprocess` the post-processing that gated
 and renormalized one (room, class) plane at a time in a Python loop, both
-verbatim apart from their names. `one_graph_predict` is `predict` as it
-was before `predict_many`: one graph's own eval-mode forward (the former
-`raw_outputs`), then `postprocess`. `dense_train` is `train` as it was
+verbatim apart from their names and, in the encoder, the branch for the
+`rooms_only` setting that `ModelConfig` no longer has. `one_graph_predict`
+is `predict` as it was before `predict_many`: one graph's own eval-mode
+forward (the former `raw_outputs`), then `postprocess`. `dense_train` is `train` as it was
 before it stepped over the live rows of w0 only: every step runs forward,
 backward and Adam over the full w0; it too is verbatim apart from its name.
 """
@@ -34,7 +35,7 @@ from scenecomp.errors import (
     NonFiniteError,
     ShapeMismatchError,
 )
-from scenecomp.graphs import BELIEF, BUILDING, ROOM, SceneGraph, SceneNode, augment, build_graph
+from scenecomp.graphs import BELIEF, BUILDING, SceneGraph, SceneNode, augment, build_graph
 from scenecomp.model import (
     BASE,
     BASE_ONT,
@@ -229,12 +230,8 @@ def dense_encode_inputs(sample: BsgSample, model: CompositionModel) -> EncodedSa
             f"sample catalog size {sample.graph.catalog.n} != model {cfg.n_classes}"
         )
     g = sample.graph
-    if cfg.rooms_only:
-        keep = {n.id for n in g.nodes if n.layer in (BUILDING, ROOM)}
-        node_ids = sorted(keep)
-    else:
-        node_ids = sorted(n.id for n in g.nodes)
-    a_hat = nn.normalized_adjacency(g, node_ids)
+    node_ids = sorted(n.id for n in g.nodes)
+    a_hat = nn.normalized_adjacency(g)
     index = {nid: i for i, nid in enumerate(node_ids)}
     heat = sample.input_heatmaps
     n_rooms, block = len(heat.room_ids), cfg.n_classes * cfg.grid_size ** 2
@@ -559,13 +556,9 @@ def _assert_same_csr(a, ref):
         assert np.array_equal(getattr(a, part), getattr(ref, part)), part
 
 
-@pytest.mark.parametrize("subset", ["all", "rooms_only"])
-def test_normalized_adjacency_bitwise_equals_loop(subset):
+def test_normalized_adjacency_bitwise_equals_loop():
     for g in _scenes():
-        node_ids = None
-        if subset == "rooms_only":
-            node_ids = sorted(n.id for n in g.nodes if n.layer in (BUILDING, ROOM))
-        _assert_same_csr(nn.normalized_adjacency(g, node_ids), loop_normalized_adjacency(g, node_ids))
+        _assert_same_csr(nn.normalized_adjacency(g), loop_normalized_adjacency(g))
 
 
 def test_normalized_adjacency_counts_a_duplicate_edge_once():
@@ -576,10 +569,9 @@ def test_normalized_adjacency_counts_a_duplicate_edge_once():
     _assert_same_csr(a, nn.normalized_adjacency(g))
 
 
-@pytest.mark.parametrize("rooms_only", [False, True])
-def test_batch_adjacency_equals_block_diag(rooms_only):
+def test_batch_adjacency_equals_block_diag():
     catalog = default_catalog()
-    config = ModelConfig(n_classes=catalog.n, grid_size=GRID, hidden=8, rooms_only=rooms_only)
+    config = ModelConfig(n_classes=catalog.n, grid_size=GRID, hidden=8)
     model = new_model(config, catalog.hash())
     encoded = [encode_inputs(make_sample(g, 0.25, GRID, k), model) for k, g in enumerate(_scenes())]
     a, x, rows = _batch(encoded)
@@ -655,7 +647,6 @@ def test_postprocess_bitwise_equals_loop(grid):
 PREDICT_MODELS = {
     "base": dict(variant=BASE),
     "base_ont": dict(variant=BASE_ONT),
-    "rooms_only": dict(variant=BASE_ONT, rooms_only=True),
     "base-hidden-256": dict(variant=BASE, hidden=256),
 }
 
@@ -720,10 +711,6 @@ TRAIN_CASES = {
     "base-s32-h256": (
         dict(variant=BASE, grid_size=32, hidden=256),
         range(5), (), TrainConfig(epochs=2, batch_size=3, lr=1e-3, seed=2),
-    ),
-    "rooms_only": (
-        dict(variant=BASE_ONT, grid_size=GRID, hidden=16, rooms_only=True),
-        range(6), range(100, 103), TrainConfig(epochs=3, batch_size=4, lr=1e-3, seed=3),
     ),
     # the validation loss is lowest after an earlier epoch than the last
     "best-epoch-earlier": (
