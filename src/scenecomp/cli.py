@@ -74,6 +74,17 @@ from .render import render_heatmaps, render_layout
 TOOL_VERSION = __version__
 
 
+# the range each numeric config key must lie in, as its text and its test
+_RANGES = {
+    **{key: ("> 0", lambda v: v > 0)
+       for key in ("grid_size", "n_scenes", "n_rooms", "hidden", "epochs", "batch_size", "lr")},
+    "removal_fraction": ("in (0, 1)", lambda v: 0 < v < 1),
+    "blind_fraction": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "lr_decay": (">= 0", lambda v: v >= 0),
+    "dropout": ("in [0, 1)", lambda v: 0 <= v < 1),
+}
+
+
 @dataclass
 class RunConfig:
     dataset_dir: str = "dataset"
@@ -118,6 +129,8 @@ class RunConfig:
             if type(value) not in allowed:
                 names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
                 raise ConfigMismatchError(f"config key {key} is {value!r}, not {names}")
+            if key in _RANGES and not _RANGES[key][1](value):
+                raise ConfigMismatchError(f"config key {key} is {value!r}, not {_RANGES[key][0]}")
         return RunConfig(**values)
 
 
@@ -144,8 +157,12 @@ def _check_stamp(artifact: dict, cfg: RunConfig, what: str) -> None:
         raise ConfigMismatchError(f"{what}: catalog hash mismatch")
 
 
+def _hash(raw: bytes) -> str:
+    return hashlib.sha256(raw).hexdigest()[:16]
+
+
 def _file_hash(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+    return _hash(Path(path).read_bytes())
 
 
 def _require(path, what: str) -> Path:
@@ -286,9 +303,10 @@ def cmd_train(cfg: RunConfig) -> None:
     print(f"checkpoint written to {cfg.checkpoint}")
 
 
-def _load_model(cfg: RunConfig) -> CompositionModel:
+def _load_model(cfg: RunConfig, raw: bytes | None = None) -> CompositionModel:
+    """The model of cfg's checkpoint, read from raw if given (the file's bytes)."""
     path = _require(cfg.checkpoint, "checkpoint")
-    config, params, stats, catalog_hash, _, extra = load_checkpoint(path)
+    config, params, stats, catalog_hash, _, extra = load_checkpoint(path, raw)
     if config.grid_size != cfg.grid_size:
         raise ConfigMismatchError(
             f"checkpoint grid size {config.grid_size} != configured {cfg.grid_size}"
@@ -301,12 +319,14 @@ def _load_model(cfg: RunConfig) -> CompositionModel:
 
 def cmd_eval(cfg: RunConfig) -> None:
     test = _load_dataset_checked(cfg, "test")["test"]
-    m = _load_model(cfg)
+    # one read: the hash names the bytes that are scored
+    raw = _require(cfg.checkpoint, "checkpoint").read_bytes()
+    m = _load_model(cfg, raw)
     report = evaluate_model(
         m,
         test,
         provenance={
-            "checkpoint_hash": _file_hash(cfg.checkpoint),
+            "checkpoint_hash": _hash(raw),
             "dataset_manifest_hash": _file_hash(Path(cfg.dataset_dir) / "manifest.json"),
         },
     )

@@ -39,7 +39,15 @@ from .graphs import (
     graph_to_dict,
     rooms_of,
 )
-from .raster import DEFAULT_GRID_SIZE, Frame, HeatmapSet, ObjectCounts, rasterize, room_frame
+from .raster import (
+    DEFAULT_GRID_SIZE,
+    Frame,
+    HeatmapSet,
+    ObjectCounts,
+    rasterize,
+    room_frame,
+    stored_frame,
+)
 
 # Version 3 samples hold no input heatmaps or counts: they are rasterized on read.
 FORMAT_VERSION = 3
@@ -497,17 +505,26 @@ def sample_to_dict(s: BsgSample) -> dict:
 def sample_from_dict(d: dict) -> BsgSample:
     """The sample that sample_to_dict wrote, its input heatmaps and counts
     rasterized from its graph within the target's room frames. The target
-    must span the graph's rooms in id order, non-zero exactly where the graph
-    counts a node, and `masked` must hold one [room id, class index, node id]
-    int triple per blind node, of its room and class; else UnreadableInputError.
+    must span the graph's rooms in id order, each room that stores an extent
+    in that extent's frame, non-zero exactly where the graph counts a node,
+    and `masked` must hold one [room id, class index, node id] int triple
+    per blind node, of its room and class; else UnreadableInputError.
     """
     graph, target = graph_from_dict(d["graph"]), heatmaps_from_dict(d["target_heatmaps"])
-    room_ids = tuple(r.id for r in rooms_of(graph))
+    rooms = rooms_of(graph)
+    room_ids = tuple(r.id for r in rooms)
     if target.room_ids != room_ids or target.grid_size == 0:
         raise UnreadableInputError(
             f"target heatmaps of room ids {list(target.room_ids)} at grid size "
             f"{target.grid_size} are not the graph's rooms {list(room_ids)}"
         )
+    for room, frame in zip(rooms, target.room_frames):
+        stored = stored_frame(room)
+        if stored is not None and stored != frame:
+            raise UnreadableInputError(
+                f"target frame {list(frame)} of room {room.id} is not the frame "
+                f"{list(stored)} of its stored extent"
+            )
     frames = dict(zip(room_ids, target.room_frames))
     input_heatmaps, counts = rasterize(graph, target.grid_size, frames_override=frames)
     if not np.array_equal(target.data.any(axis=(2, 3)), counts.data > 0):

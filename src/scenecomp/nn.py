@@ -34,6 +34,7 @@ terms in the same order.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import zipfile
@@ -490,25 +491,24 @@ def _read_arrays(zf: zipfile.ZipFile) -> dict:
     return sections
 
 
-def _read_checkpoint(path):
+def _read_checkpoint(path, f):
     """The meta dict and {section: {name: array}} of a current-version checkpoint.
 
-    The format is told from the content, not the file name. A version-1
-    (one JSON document) or other-version checkpoint raises
-    ConfigMismatchError; a file that cannot be read as a checkpoint raises
-    UnreadableInputError.
+    f is the file at path, open for binary reading. The format is told from
+    the content, not the file name. A version-1 (one JSON document) or
+    other-version checkpoint raises ConfigMismatchError; a file that cannot
+    be read as a checkpoint raises UnreadableInputError.
     """
-    with open(path, "rb") as f:
-        is_zip = f.read(4) == b"PK\x03\x04"
+    is_zip = f.read(4) == b"PK\x03\x04"
+    f.seek(0)
     try:
         if is_zip:
-            with zipfile.ZipFile(path) as zf:
+            with zipfile.ZipFile(f) as zf:
                 meta = json.loads(zf.read(_META))
                 if meta["version"] == CHECKPOINT_VERSION:
                     return meta, _read_arrays(zf)
         else:
-            with open(path, "r", encoding="utf-8") as f:
-                meta = json.load(f)
+            meta = json.loads(f.read().decode("utf-8"))
         version = meta["version"]
     # ValueError covers malformed JSON, UTF-8 and .npy data; TypeError a
     # meta that is not a JSON object
@@ -540,8 +540,9 @@ def _checked_arrays(section: str, arrays: dict, shapes: dict) -> dict:
     return {name: arrays[name] for name in shapes}
 
 
-def load_checkpoint(path):
-    """Read a checkpoint written by `save_checkpoint`.
+def load_checkpoint(path, raw: bytes | None = None):
+    """Read a checkpoint written by `save_checkpoint`, from raw if given (the
+    file's bytes, already read; path then only names it) or else from path.
 
     Every parameter, batch-norm stat and Adam moment must carry exactly the
     names and shapes that the stored config gives (`param_shapes`); anything
@@ -549,7 +550,8 @@ def load_checkpoint(path):
     that is not a readable checkpoint raises UnreadableInputError. Returns
     (config, params, stats, catalog_hash, adam state or None, extra).
     """
-    meta, sections = _read_checkpoint(path)
+    with (open(path, "rb") if raw is None else io.BytesIO(raw)) as f:
+        meta, sections = _read_checkpoint(path, f)
     try:
         config = ModelConfig(**meta["config"])
         catalog_hash, adam_t, extra = meta["catalog_hash"], meta.get("adam_t"), meta.get("extra")

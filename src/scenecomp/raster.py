@@ -3,6 +3,12 @@
 Each room maps its own bounding rectangle onto a fixed S x S grid, so cells
 have room-dependent physical size. Grids are indexed [ix, iy] with ix along
 the x axis of the room frame.
+
+An object's footprint is its box's overlap area with each cell, normalised
+to sum to 1. All objects are rasterized in one array pass with a fixed
+summation order: each footprint is divided by the pairwise sum of its full
+S x S grid and added into its class plane in object-id order, so the
+result is bitwise that of rasterizing one object at a time.
 """
 from __future__ import annotations
 
@@ -10,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import BLIND, OBJECT, SceneGraph, children_of, rooms_of
+from .graphs import OBJECT, SceneGraph, SceneNode, children_of, rooms_of
 from .errors import DegenerateRoomError
 
 DEFAULT_GRID_SIZE = 32
@@ -50,19 +56,26 @@ class ObjectCounts:
     room_ids: tuple[int, ...]
 
 
+def stored_frame(room: SceneNode) -> Frame | None:
+    """The frame of the room's stored extent, or None if it stores none."""
+    if room.position is None or room.dimensions is None or not all(
+        d > 0 for d in room.dimensions[:2]
+    ):
+        return None
+    x, y = room.position[0], room.position[1]
+    dx, dy = room.dimensions[0], room.dimensions[1]
+    return (x - dx / 2, y - dy / 2, x + dx / 2, y + dy / 2)
+
+
 def room_frame(g: SceneGraph, room_id: int) -> Frame:
     """The room's bounding rectangle on the (x, y) plane.
 
     Uses the stored room extent when present, otherwise the AABB of the
     room's object children.
     """
-    room = g.node(room_id)
-    if room.position is not None and room.dimensions is not None and all(
-        d > 0 for d in room.dimensions[:2]
-    ):
-        x, y = room.position[0], room.position[1]
-        dx, dy = room.dimensions[0], room.dimensions[1]
-        return (x - dx / 2, y - dy / 2, x + dx / 2, y + dy / 2)
+    frame = stored_frame(g.node(room_id))
+    if frame is not None:
+        return frame
     objs = children_of(g, room_id, OBJECT)
     if not objs:
         raise DegenerateRoomError(f"room {room_id} has no extent and no objects")
@@ -83,37 +96,6 @@ def cell_edges(frame: Frame, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _interval_overlap(edges: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    return np.clip(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0, None)
-
-
-def object_footprint(
-    frame: Frame,
-    position: tuple[float, float, float],
-    dimensions: tuple[float, float, float],
-    grid_size: int,
-) -> np.ndarray:
-    """Single-object distribution over the room grid, summing to 1.
-
-    The AABB footprint is spread over the overlapped cells in proportion to
-    the overlap area. Objects fully outside the frame get a uniform in-room
-    footprint so that counts and heatmaps stay consistent.
-    """
-    S = grid_size
-    ex, ey = cell_edges(frame, S)
-    x0 = position[0] - dimensions[0] / 2
-    x1 = position[0] + dimensions[0] / 2
-    y0 = position[1] - dimensions[1] / 2
-    y1 = position[1] + dimensions[1] / 2
-    wx = _interval_overlap(ex, x0, x1)
-    wy = _interval_overlap(ey, y0, y1)
-    grid = np.outer(wx, wy)
-    total = grid.sum()
-    if total <= 0.0:
-        return np.full((S, S), 1.0 / (S * S))
-    return grid / total
-
-
 def rasterize(
     g: SceneGraph,
     grid_size: int = DEFAULT_GRID_SIZE,
@@ -126,27 +108,44 @@ def rasterize(
     child AABBs differ).
     """
     rooms = rooms_of(g)
-    n_classes = g.catalog.n
     S = grid_size
-    data = np.zeros((len(rooms), n_classes, S, S))
-    counts = np.zeros((len(rooms), n_classes), dtype=np.int64)
-    frames = []
-    for ri, room in enumerate(rooms):
-        if frames_override is not None and room.id in frames_override:
-            frame = frames_override[room.id]
-        else:
-            frame = room_frame(g, room.id)
-        frames.append(frame)
-        for obj in children_of(g, room.id, OBJECT):
-            counts[ri, obj.class_index] += 1
-            data[ri, obj.class_index] += object_footprint(frame, obj.position, obj.dimensions, S)
-        for blind in children_of(g, room.id, BLIND):
-            counts[ri, blind.class_index] += 1
-        sums = data[ri].sum(axis=(1, 2))
-        present = sums > 0
-        data[ri, present] /= sums[present, None, None]
+    frames = tuple(
+        frames_override[room.id]
+        if frames_override is not None and room.id in frames_override
+        else room_frame(g, room.id)
+        for room in rooms
+    )
+    row = {room.id: ri for ri, room in enumerate(rooms)}
+    kids = sorted(((row[p], g.node(c)) for p, c in g.edges if p in row), key=lambda rk: rk[1].id)
+    counts = np.zeros((len(rooms), g.catalog.n), dtype=np.int64)
+    for ri, kid in kids:
+        counts[ri, kid.class_index] += 1
+    objs = [(ri, kid) for ri, kid in kids if kid.layer == OBJECT]
+    # each room's cell edges, and each object's room row and box (x0, x1, y0, y1)
+    edges = [cell_edges(frame, S) for frame in frames]
+    rows = np.array([ri for ri, _ in objs], dtype=np.intp)
+    ex = np.array([e[0] for e in edges]).reshape(len(rooms), S + 1)[rows]
+    ey = np.array([e[1] for e in edges]).reshape(len(rooms), S + 1)[rows]
+    box = np.array(
+        [(p[0] - d[0] / 2, p[0] + d[0] / 2, p[1] - d[1] / 2, p[1] + d[1] / 2)
+         for p, d in ((o.position, o.dimensions) for _, o in objs)]
+    ).reshape(len(objs), 4)
+    wx = np.clip(np.minimum(ex[:, 1:], box[:, 1:2]) - np.maximum(ex[:, :-1], box[:, :1]), 0.0, None)
+    wy = np.clip(np.minimum(ey[:, 1:], box[:, 3:]) - np.maximum(ey[:, :-1], box[:, 2:3]), 0.0, None)
+    grids = wx[:, :, None] * wy[:, None, :]
+    # the full-grid pairwise sum; objects wholly outside the frame are uniform
+    totals = grids.reshape(len(objs), S * S).sum(axis=1)
+    outside = totals <= 0.0
+    grids /= np.where(outside, 1.0, totals)[:, None, None]
+    grids[outside] = 1.0 / (S * S)
+    data = np.zeros((len(rooms), g.catalog.n, S, S))
+    for (ri, o), grid in zip(objs, grids):
+        data[ri, o.class_index] += grid
+    sums = data.sum(axis=(2, 3))
+    present = sums > 0
+    data[present] /= sums[present, None, None]
     room_ids = tuple(r.id for r in rooms)
     return (
-        HeatmapSet(data, room_ids, S, tuple(frames)),
+        HeatmapSet(data, room_ids, S, frames),
         ObjectCounts(counts, room_ids),
     )

@@ -1,10 +1,13 @@
 import base64
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scenecomp.cli as cli_module
 from scenecomp import __version__
 from scenecomp.catalog import default_catalog
 from scenecomp.cli import RunConfig, main
@@ -172,6 +175,32 @@ def test_train_is_byte_deterministic(tmp_path, monkeypatch):
     assert (tmp_path / "a" / "checkpoint.json").read_bytes() == (tmp_path / "b" / "checkpoint.json").read_bytes()
 
 
+def test_eval_reads_the_checkpoint_once_and_hashes_the_bytes_it_scores(tmp_path, monkeypatch):
+    cfg = _write_config(tmp_path, n_scenes=4)
+    assert main(["--config", str(cfg), "generate"]) == 0
+    assert main(["--config", str(cfg), "train"]) == 0
+    ckpt = tmp_path / "checkpoint.json"
+    content = ckpt.read_bytes()
+    reads, loaded = [], []
+    read_bytes, load_checkpoint = Path.read_bytes, cli_module.load_checkpoint
+
+    def counting_read(path):
+        reads.append(path)
+        return read_bytes(path)
+
+    def spying_load(path, raw=None):
+        loaded.append(raw)
+        return load_checkpoint(path, raw)
+
+    monkeypatch.setattr(Path, "read_bytes", counting_read)
+    monkeypatch.setattr(cli_module, "load_checkpoint", spying_load)
+    assert main(["--config", str(cfg), "eval"]) == 0
+    monkeypatch.undo()
+    assert reads.count(ckpt) == 1 and loaded == [content]
+    report = json.loads((tmp_path / "out" / "metrics_report.json").read_text())
+    assert report["provenance"]["checkpoint_hash"] == hashlib.sha256(content).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("command", ["eval", "predict"])
 def test_half_length_checkpoint_fails_cleanly(tmp_path, capsys, command):
     cfg = _write_config(tmp_path, n_scenes=4)
@@ -199,6 +228,38 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, key, value, messa
     assert main(["--config", str(cfg), "generate"]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "dataset").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("grid_size", 0, "config key grid_size is 0, not > 0"),
+        ("n_scenes", -1, "config key n_scenes is -1, not > 0"),
+        ("n_rooms", 0, "config key n_rooms is 0, not > 0"),
+        ("hidden", 0, "config key hidden is 0, not > 0"),
+        ("epochs", 0, "config key epochs is 0, not > 0"),
+        ("batch_size", 0, "config key batch_size is 0, not > 0"),
+        ("removal_fraction", 1.5, "config key removal_fraction is 1.5, not in (0, 1)"),
+        ("removal_fraction", 0, "config key removal_fraction is 0.0, not in (0, 1)"),
+        ("blind_fraction", -1.0, "config key blind_fraction is -1.0, not in [0, 1]"),
+        ("lr", 0, "config key lr is 0.0, not > 0"),
+        ("lr_decay", -1e-8, "config key lr_decay is -1e-08, not >= 0"),
+        ("dropout", 1, "config key dropout is 1.0, not in [0, 1)"),
+    ],
+)
+def test_config_value_out_of_range_rejected(tmp_path, capsys, key, value, message):
+    cfg = _write_config(tmp_path, **{"n_scenes": 4, key: value})
+    assert main(["--config", str(cfg), "generate"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "dataset").exists()
+
+
+def test_config_range_ends_accepted(tmp_path):
+    ends = dict(blind_fraction=1.0, dropout=0.0, lr_decay=0.0, grid_size=1, n_scenes=1)
+    cfg = RunConfig.load(_write_config(tmp_path, **ends), {})
+    assert [getattr(cfg, key) for key in ends] == list(ends.values())
+    cfg = RunConfig.load(_write_config(tmp_path, blind_fraction=0.0), {})
+    assert cfg.blind_fraction == 0.0
 
 
 def test_config_int_for_float_read_as_float(tmp_path):

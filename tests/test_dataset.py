@@ -347,6 +347,11 @@ def _shift_first_masked_class(d):
     d["masked"][0][1] += 1
 
 
+def _move_first_target_frame(d):
+    # generated rooms store their extent, so the frame is the graph's to give
+    d["target_heatmaps"]["room_frames"][0][0] -= 1
+
+
 def _target_of_grid_size_0(d):
     h = d["target_heatmaps"]
     h.update(grid_size=0, shape=h["shape"][:2] + [0, 0], data_b64="")
@@ -371,6 +376,7 @@ def _target_of_grid_size_0(d):
         ("train", "manifest.json", _set_split("test", "sample_00001.json"), NOT_NAMES.format("test")),
         ("train", "sample_00000.json", _reverse_target_rooms, "are not the graph's rooms"),
         ("train", "sample_00000.json", _target_of_grid_size_0, "at grid size 0"),
+        ("train", "sample_00000.json", _move_first_target_frame, "is not the frame"),
         ("train", "sample_00000.json", _drop_last_target_plane, "non-zero planes are not the graph's counts"),
         ("train", "sample_00000.json", lambda d: d.update(masked="abc"), "masked is not an int triple"),
         ("train", "sample_00000.json", _shift_first_masked_class, "per blind node"),
@@ -392,6 +398,7 @@ def _target_of_grid_size_0(d):
         "unread-split-checked-by-train",
         "target-rooms-not-the-graphs",
         "target-of-grid-size-0",
+        "target-frame-not-the-rooms-extent",
         "target-plane-the-graph-does-not-count",
         "masked-a-string",
         "masked-class-not-a-blind-nodes",

@@ -61,7 +61,7 @@ def test_grid_to_world_unit_cells():
 
 def test_grid_to_world_raster_round_trip(catalog):
     # a point object at a cell center rasterizes back into that cell
-    from scenecomp.raster import object_footprint
+    from test_raster import object_footprint
 
     frame = (0.0, 0.0, 8.0, 8.0)
     for cell in [(0, 0), (3, 5), (7, 7)]:

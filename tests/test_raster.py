@@ -1,18 +1,136 @@
+"""Tests of the rasterizer.
+
+`loop_rasterize` and `object_footprint` are the rasterizer as it was before
+all objects were rasterized in one array pass: a Python loop that builds
+one S x S footprint per object. They are kept here as the oracle that the
+`..._equals_loop_oracle` tests compare `rasterize` against bit for bit.
+"""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from scenecomp.dataset import (
+    default_templates,
+    generate_synthetic_scene,
+    make_sample,
+    sample_from_dict,
+    sample_to_dict,
+)
+from scenecomp.errors import DegenerateRoomError
 from scenecomp.graphs import (
+    BLIND,
     BUILDING,
     GROUND_TRUTH,
     OBJECT,
     ROOM,
+    SceneGraph,
     SceneNode,
+    augment,
     build_graph,
+    children_of,
     make_belief_graph,
+    rooms_of,
 )
-from scenecomp.raster import object_footprint, rasterize, room_frame
+from scenecomp.raster import (
+    DEFAULT_GRID_SIZE,
+    Frame,
+    HeatmapSet,
+    ObjectCounts,
+    cell_edges,
+    rasterize,
+    room_frame,
+)
 
 from conftest import simple_graph
+
+PARITY_GRID_SIZES = (1, 2, 7, 8, 16, 32, 33)
+
+
+# --- the oracle: the per-object loop rasterizer -----------------------------
+
+
+def _interval_overlap(edges: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    return np.clip(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0, None)
+
+
+def object_footprint(
+    frame: Frame,
+    position: tuple[float, float, float],
+    dimensions: tuple[float, float, float],
+    grid_size: int,
+) -> np.ndarray:
+    """Single-object distribution over the room grid, summing to 1.
+
+    The AABB footprint is spread over the overlapped cells in proportion to
+    the overlap area. Objects fully outside the frame get a uniform in-room
+    footprint so that counts and heatmaps stay consistent.
+    """
+    S = grid_size
+    ex, ey = cell_edges(frame, S)
+    x0 = position[0] - dimensions[0] / 2
+    x1 = position[0] + dimensions[0] / 2
+    y0 = position[1] - dimensions[1] / 2
+    y1 = position[1] + dimensions[1] / 2
+    wx = _interval_overlap(ex, x0, x1)
+    wy = _interval_overlap(ey, y0, y1)
+    grid = np.outer(wx, wy)
+    total = grid.sum()
+    if total <= 0.0:
+        return np.full((S, S), 1.0 / (S * S))
+    return grid / total
+
+
+def loop_rasterize(
+    g: SceneGraph,
+    grid_size: int = DEFAULT_GRID_SIZE,
+    frames_override: dict[int, Frame] | None = None,
+) -> tuple[HeatmapSet, ObjectCounts]:
+    """Rasterize every room into heatmaps and tabulate object counts.
+
+    Blind nodes contribute to counts but never to heatmaps. frames_override
+    pins room frames externally (needed when comparing graphs whose implied
+    child AABBs differ).
+    """
+    rooms = rooms_of(g)
+    n_classes = g.catalog.n
+    S = grid_size
+    data = np.zeros((len(rooms), n_classes, S, S))
+    counts = np.zeros((len(rooms), n_classes), dtype=np.int64)
+    frames = []
+    for ri, room in enumerate(rooms):
+        if frames_override is not None and room.id in frames_override:
+            frame = frames_override[room.id]
+        else:
+            frame = room_frame(g, room.id)
+        frames.append(frame)
+        for obj in children_of(g, room.id, OBJECT):
+            counts[ri, obj.class_index] += 1
+            data[ri, obj.class_index] += object_footprint(frame, obj.position, obj.dimensions, S)
+        for blind in children_of(g, room.id, BLIND):
+            counts[ri, blind.class_index] += 1
+        sums = data[ri].sum(axis=(1, 2))
+        present = sums > 0
+        data[ri, present] /= sums[present, None, None]
+    room_ids = tuple(r.id for r in rooms)
+    return (
+        HeatmapSet(data, room_ids, S, tuple(frames)),
+        ObjectCounts(counts, room_ids),
+    )
+
+
+def assert_heatmaps_identical(got: HeatmapSet, want: HeatmapSet) -> None:
+    assert got.data.dtype == want.data.dtype and got.data.shape == want.data.shape
+    assert got.data.tobytes() == want.data.tobytes()
+    assert (got.room_ids, got.grid_size) == (want.room_ids, want.grid_size)
+    assert np.array(got.room_frames).tobytes() == np.array(want.room_frames).tobytes()
+
+
+def assert_raster_identical(got, want) -> None:
+    (gh, gc), (wh, wc) = got, want
+    assert_heatmaps_identical(gh, wh)
+    assert gc.data.dtype == wc.data.dtype and gc.data.tobytes() == wc.data.tobytes()
+    assert gc.room_ids == wc.room_ids
 
 
 def _one_room_graph(catalog, objects):
@@ -130,3 +248,105 @@ def test_room_frame_from_children(catalog):
     g = build_graph(nodes, [(0, 1), (1, 2), (1, 3)], GROUND_TRUTH, catalog)
     assert room_frame(g, 1) == (0.0, 0.0, 6.0, 4.0)
 
+
+
+# --- parity with the loop oracle --------------------------------------------
+
+
+def _pushed_scene(catalog, seed, share=0.3):
+    """A generated 3-room scene with about `share` of its objects moved by
+    0.3 to 1.5 room sizes, so that they straddle the frame or leave it."""
+    g = generate_synthetic_scene(default_templates(), 3, seed, catalog)
+    rng = np.random.default_rng(seed)
+    parent = {c: p for p, c in g.edges}
+    nodes = []
+    for n in g.nodes:
+        if n.layer == OBJECT and rng.random() < share:
+            room = g.node(parent[n.id])
+            dx, dy = rng.uniform(0.3, 1.5, 2) * rng.choice([-1.0, 1.0], 2)
+            x = n.position[0] + float(dx) * room.dimensions[0]
+            y = n.position[1] + float(dy) * room.dimensions[1]
+            n = replace(n, position=(x, y, n.position[2]))
+        nodes.append(n)
+    return build_graph(nodes, list(g.edges), GROUND_TRUTH, catalog)
+
+
+def _outside_shares(g):
+    """Objects that straddle their room's frame, and objects wholly outside it."""
+    parent = {c: p for p, c in g.edges}
+    straddle = outside = 0
+    for n in g.nodes_in_layer(OBJECT):
+        lo_x, lo_y, hi_x, hi_y = room_frame(g, parent[n.id])
+        x0, x1 = n.position[0] - n.dimensions[0] / 2, n.position[0] + n.dimensions[0] / 2
+        y0, y1 = n.position[1] - n.dimensions[1] / 2, n.position[1] + n.dimensions[1] / 2
+        if x1 <= lo_x or x0 >= hi_x or y1 <= lo_y or y0 >= hi_y:
+            outside += 1
+        elif x0 < lo_x or x1 > hi_x or y0 < lo_y or y1 > hi_y:
+            straddle += 1
+    return straddle, outside
+
+
+@pytest.mark.parametrize("grid_size", PARITY_GRID_SIZES)
+def test_rasterize_equals_loop_oracle(catalog, grid_size):
+    scenes = [_pushed_scene(catalog, seed) for seed in range(4)]
+    straddle, outside = map(sum, zip(*map(_outside_shares, scenes)))
+    assert straddle > 0 and outside > 0
+    for g in scenes:
+        assert_raster_identical(rasterize(g, grid_size), loop_rasterize(g, grid_size))
+
+
+def _mixed_room_graph(catalog):
+    """Room 1 has no stored extent, room 2 is blind-only, room 3 is empty;
+    edges are listed in reverse so that child order comes from node ids."""
+    nodes = [
+        SceneNode(0, BUILDING),
+        SceneNode(1, ROOM),
+        SceneNode(2, ROOM, position=(14.0, 3.0, 1.5), dimensions=(6.0, 6.0, 3.0)),
+        SceneNode(3, ROOM, position=(24.0, 3.0, 1.5), dimensions=(5.0, 4.0, 3.0)),
+        SceneNode(4, OBJECT, 1, (1.0, 1.0, 0.5), (2.0, 2.0, 1.0)),
+        SceneNode(5, OBJECT, 1, (5.3, 3.1, 0.5), (1.7, 2.2, 1.0)),
+        SceneNode(6, OBJECT, 0, (2.9, 2.2, 0.5), (0.3, 0.7, 1.0)),
+    ]
+    edges = [(1, 6), (1, 5), (1, 4), (0, 3), (0, 2), (0, 1)]
+    g = build_graph(nodes, edges, GROUND_TRUTH, catalog)
+    return make_belief_graph(g, [(2, 1, 2), (2, 4, 1), (1, 1, 1)])
+
+
+@pytest.mark.parametrize("grid_size", PARITY_GRID_SIZES)
+def test_rasterize_equals_loop_oracle_on_special_rooms(catalog, grid_size):
+    g = _mixed_room_graph(catalog)
+    heat, counts = rasterize(g, grid_size)
+    assert_raster_identical((heat, counts), loop_rasterize(g, grid_size))
+    assert counts.data[1].sum() == 3 and not heat.data[1:].any()
+    roomless = build_graph([SceneNode(0, BUILDING)], [], GROUND_TRUTH, catalog)
+    assert_raster_identical(rasterize(roomless, grid_size), loop_rasterize(roomless, grid_size))
+    # pinned frames: room 1 shrunk so that its objects straddle it, room 3
+    # moved away from nothing, room 2 left to its stored extent
+    frames = {1: (0.5, 0.5, 3.0, 2.0), 3: (-40.0, -40.0, -30.0, -31.0)}
+    assert_raster_identical(
+        rasterize(g, grid_size, frames_override=frames),
+        loop_rasterize(g, grid_size, frames_override=frames),
+    )
+
+
+def test_rasterize_refuses_extentless_blind_room_like_oracle(catalog):
+    nodes = [SceneNode(0, BUILDING), SceneNode(1, ROOM)]
+    g = make_belief_graph(build_graph(nodes, [(0, 1)], GROUND_TRUTH, catalog), [(1, 0, 2)])
+    for raster in (rasterize, loop_rasterize):
+        with pytest.raises(DegenerateRoomError):
+            raster(g, 8)
+
+
+@pytest.mark.parametrize("grid_size", PARITY_GRID_SIZES)
+def test_sample_rasters_equal_loop_oracle(catalog, grid_size):
+    # make_sample and its read-back rasterize target and input within the
+    # truth's frames; both must be the oracle's bits
+    for seed in range(3):
+        g_aug = augment(_pushed_scene(catalog, 10 + seed), 0.25, seed)
+        frames = {r.id: room_frame(g_aug, r.id) for r in rooms_of(g_aug)}
+        s = make_sample(g_aug, 0.25, grid_size, seed)
+        target, _ = loop_rasterize(g_aug, grid_size, frames_override=frames)
+        heat, counts = loop_rasterize(s.graph, grid_size, frames_override=frames)
+        for read in (s, sample_from_dict(sample_to_dict(s))):
+            assert_heatmaps_identical(read.target_heatmaps, target)
+            assert_raster_identical((read.input_heatmaps, read.counts), (heat, counts))
