@@ -184,14 +184,21 @@ def _prediction_heatmaps(doc: dict, path) -> HeatmapSet:
 
     `heatmaps_from_dict` checks their layout and that their values are ones
     a prediction can hold (non-negative, each plane summing to 1 or all
-    zero, hence finite).
+    zero, hence finite); their class axis must be the catalog's.
     """
     if "heatmaps" not in doc:
         raise UnreadableInputError(f"prediction file {path} holds no heatmaps")
     try:
-        return heatmaps_from_dict(doc["heatmaps"])
+        heat = heatmaps_from_dict(doc["heatmaps"])
     except UnreadableInputError as e:
         raise UnreadableInputError(f"prediction file {path}: {e}") from e
+    n_classes = default_catalog().n
+    if heat.data.shape[1] != n_classes:
+        raise UnreadableInputError(
+            f"prediction file {path}: heatmaps hold {heat.data.shape[1]} classes, "
+            f"not the catalog's {n_classes}"
+        )
+    return heat
 
 
 def _blind_counts(doc: dict, heat: HeatmapSet, path) -> dict:
@@ -397,16 +404,18 @@ def cmd_render(cfg: RunConfig, input_path) -> None:
     path = _require(input_path, "render input")
     doc = _read_object(path)
     out_dir = Path(cfg.output_dir)
-    labels = default_catalog().labels
+    catalog = default_catalog()
     if "heatmaps" in doc:
-        written = render_heatmaps(_prediction_heatmaps(doc, path), labels, out_dir)
+        _check_stamp(doc, cfg, "prediction file")
+        written = render_heatmaps(_prediction_heatmaps(doc, path), catalog.labels, out_dir)
     elif "rooms" in doc:
+        _check_stamp(doc, cfg, "layout file")
         if not isinstance(doc["rooms"], list):
             raise UnreadableInputError(f"layout file {path}: rooms are not a list")
         rooms = []
         for i, room_doc in enumerate(doc["rooms"]):
             try:
-                rooms.append(layout_from_dict(room_doc)[:2])
+                rooms.append(layout_from_dict(room_doc, catalog.n)[:2])
             except UnreadableInputError as e:
                 raise UnreadableInputError(f"layout file {path}: room {i}: {e}") from e
         written = [render_layout(room_id, lg, out_dir) for room_id, lg in rooms]

@@ -42,13 +42,24 @@ def extract_layout(
     return LayoutGrid(cells, threshold, frame)
 
 
+def _cell_center(edges: tuple[list[float], list[float]], i: int, j: int) -> tuple[float, float]:
+    """World coordinates of cell (i, j)'s center, midway between its cell edges."""
+    ex, ey = edges
+    return ((ex[i] + ex[i + 1]) / 2, (ey[j] + ey[j + 1]) / 2)
+
+
+def _edge_lists(frame: Frame, grid_size: int) -> tuple[list[float], list[float]]:
+    # the raster's cell edges as Python floats: the same bits, cheaper to index
+    ex, ey = cell_edges(frame, grid_size)
+    return ex.tolist(), ey.tolist()
+
+
 def grid_to_world(frame: Frame, cell: tuple[int, int], grid_size: int) -> tuple[float, float]:
     """World coordinates of a cell center under the room frame's linear map."""
     i, j = cell
     if not (0 <= i < grid_size and 0 <= j < grid_size):
         raise OutOfBoundsError(f"cell {cell} outside a {grid_size}x{grid_size} grid")
-    ex, ey = cell_edges(frame, grid_size)
-    return (float((ex[i] + ex[i + 1]) / 2), float((ey[j] + ey[j + 1]) / 2))
+    return _cell_center(_edge_lists(frame, grid_size), i, j)
 
 
 @dataclass(frozen=True)
@@ -74,13 +85,15 @@ def place_blind_nodes(
     """
     s = layout.grid_size
     placements: list[Placement] = []
+    edges = None  # the room's cell edges, computed once and only if a placement needs them
     for class_index, count in sorted(blind):
         if count < 0:
             raise ValueError("blind counts must be non-negative")
         if count == 0:
             continue
-        grid = heatmaps[class_index]
-        flat = grid.ravel()
+        if edges is None:
+            edges = _edge_lists(frame, s)
+        flat = heatmaps[class_index].ravel()
         # stable sort by descending probability, then row-major index
         order = np.argsort(-flat, kind="stable")
         n_nonzero = int(np.count_nonzero(flat))
@@ -92,12 +105,7 @@ def place_blind_nodes(
                 idx = int(order[(k - n_nonzero) % max(1, n_nonzero)])
             i, j = divmod(idx, s)
             placements.append(
-                Placement(
-                    class_index,
-                    (i, j),
-                    grid_to_world(frame, (i, j), s),
-                    low_support=k >= n_nonzero,
-                )
+                Placement(class_index, (i, j), _cell_center(edges, i, j), low_support=k >= n_nonzero)
             )
     return placements
 
@@ -105,14 +113,12 @@ def place_blind_nodes(
 # --- serialization --------------------------------------------------------
 
 
-def _rle(values: list[int]) -> list[list[int]]:
-    runs = []
-    for v in values:
-        if runs and runs[-1][0] == v:
-            runs[-1][1] += 1
-        else:
-            runs.append([v, 1])
-    return runs
+def _rle(values: np.ndarray) -> list[list[int]]:
+    """The [value, length] runs of a 1-d int array, as lists of Python ints."""
+    starts_run = np.ones(values.size, dtype=bool)
+    starts_run[1:] = values[1:] != values[:-1]
+    starts = np.flatnonzero(starts_run)
+    return np.column_stack((values[starts], np.diff(starts, append=values.size))).tolist()
 
 
 def _unrle(runs, s: int) -> np.ndarray:
@@ -150,7 +156,7 @@ def layout_to_dict(
         "room_id": room_id,
         "S": layout.grid_size,
         "threshold": layout.threshold,
-        "cells": _rle([int(v) for v in layout.cells.ravel()]),
+        "cells": _rle(layout.cells.ravel()),
         "placements": [
             {
                 "class": p.class_index,
@@ -178,13 +184,15 @@ def _is_pair(v, test) -> bool:
     return isinstance(v, list) and len(v) == 2 and all(test(e) for e in v)
 
 
-def layout_from_dict(d: dict):
+def layout_from_dict(d: dict, n_classes: int):
     """The (room id, layout, placements) that layout_to_dict wrote.
 
     A document of another shape raises UnreadableInputError: a missing
     key, a grid size that is not a positive int, cell runs that are not
-    [value, length] pairs covering the S x S grid exactly, or a placement
-    without an int class, a cell inside the grid and an [x, y] position.
+    [value, length] pairs covering the S x S grid exactly, a cell value
+    that is neither EMPTY nor a class index below n_classes, or a placement
+    without a class index below n_classes, a cell inside the grid and an
+    [x, y] position.
     """
     if not isinstance(d, dict):
         raise UnreadableInputError(f"layout room is a JSON {type(d).__name__}, not an object")
@@ -196,21 +204,27 @@ def layout_from_dict(d: dict):
         raise UnreadableInputError(f"layout grid size {s!r} is not a positive int")
     if not _is_int(d["room_id"]) or not _is_number(d["threshold"]):
         raise UnreadableInputError("layout room_id must be an int and threshold a number")
-    cells = _unrle(d["cells"], s)
+    bad_cells = f"layout cells must be {EMPTY} (empty) or class indices below {n_classes}"
+    try:
+        cells = _unrle(d["cells"], s)
+    except OverflowError as e:  # a run value of 2**63 or more does not fit the int64 cells
+        raise UnreadableInputError(bad_cells) from e
+    if cells.max() >= n_classes:
+        raise UnreadableInputError(bad_cells)
     placements = d["placements"]
     if not isinstance(placements, list):
         raise UnreadableInputError("layout placements are not a list")
     for i, p in enumerate(placements):
         if not (
             isinstance(p, dict)
-            and _is_int(p.get("class")) and p["class"] >= 0
+            and _is_int(p.get("class")) and 0 <= p["class"] < n_classes
             and _is_pair(p.get("cell"), lambda c: _is_int(c) and 0 <= c < s)
             and _is_pair(p.get("xy"), _is_number)
             and isinstance(p.get("low_support", False), bool)
         ):
             raise UnreadableInputError(
-                f"layout placement {i} needs a class >= 0, a cell [i, j] inside the "
-                f"{s}x{s} grid, an xy [x, y] and at most a boolean low_support"
+                f"layout placement {i} needs a class >= 0 and below {n_classes}, a cell [i, j] "
+                f"inside the {s}x{s} grid, an xy [x, y] and at most a boolean low_support"
             )
     layout = LayoutGrid(cells, float(d["threshold"]))
     placements = [

@@ -40,10 +40,11 @@ def _class_color(class_index: int) -> tuple[int, int, int]:
 
 def layout_to_ppm(layout: LayoutGrid) -> bytes:
     s = layout.grid_size
-    rgb = np.zeros((s, s, 3), dtype=np.uint8)
-    for i in range(s):
-        for j in range(s):
-            rgb[i, j] = _class_color(int(layout.cells[i, j]))
+    # one palette entry per distinct cell value, gathered into the image
+    values, inverse = np.unique(layout.cells.ravel(), return_inverse=True)
+    palette = np.array([_class_color(v) for v in values.tolist()], dtype=np.uint8).reshape(-1, 3)
+    # the inverse's shape differs across NumPy 2.x releases
+    rgb = palette[inverse.reshape(s, s)]
     header = f"P6\n{s} {s}\n255\n".encode("ascii")
     return header + rgb.transpose(1, 0, 2)[::-1].tobytes()
 

@@ -11,7 +11,12 @@ import scenecomp.cli as cli_module
 from scenecomp import __version__
 from scenecomp.catalog import default_catalog
 from scenecomp.cli import RunConfig, main
-from scenecomp.dataset import generate_synthetic_scene, heatmaps_to_dict, template_by_name
+from scenecomp.dataset import (
+    generate_synthetic_scene,
+    heatmaps_from_dict,
+    heatmaps_to_dict,
+    template_by_name,
+)
 from scenecomp.graphs import (
     BELIEF,
     BUILDING,
@@ -22,9 +27,9 @@ from scenecomp.graphs import (
     rooms_of,
     save_graph,
 )
-from scenecomp.layout import EMPTY, LayoutGrid, Placement, layout_to_dict
+from scenecomp.layout import EMPTY, LayoutGrid, Placement, extract_layout, layout_to_dict
 from scenecomp.nn import ModelConfig, init_params, save_checkpoint
-from scenecomp.raster import rasterize
+from scenecomp.raster import HeatmapSet, rasterize
 from scenecomp.render import heatmap_to_pgm, layout_to_ppm
 
 
@@ -339,6 +344,28 @@ def test_layout_checks_only_grid_size_and_catalog_of_stamp(tmp_path, capsys, cas
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["prediction", "layout"])
+@pytest.mark.parametrize("case", STAMP_CHANGES)
+def test_render_checks_only_grid_size_and_catalog_of_stamp(tmp_path, capsys, kind, case):
+    catalog = default_catalog()
+    g = generate_synthetic_scene((template_by_name("kitchen"),), 2, 5, catalog)
+    heat, _ = rasterize(g, 8)
+    change, message = STAMP_CHANGES[case]
+    stamp = {"S": 8, "catalog_hash": catalog.hash(), "seed": 3, "tool_version": __version__, **change}
+    if kind == "prediction":
+        doc = {"stamp": stamp, "heatmaps": heatmaps_to_dict(heat)}
+    else:
+        doc = {"stamp": stamp, "rooms": [layout_to_dict(1, extract_layout(heat.data[0], 0.1), [])]}
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    code = main(["--config", str(_write_config(tmp_path)), "render", str(path)])
+    if message is None:
+        assert code == 0 and list((tmp_path / "out").iterdir())
+    else:
+        assert code == 1 and capsys.readouterr().err == f"error: {kind} file: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
 def _with_planes(h: dict, change) -> dict:
     """Heatmaps whose stored planes (a planes x cells array) went through change."""
     planes = np.frombuffer(base64.b64decode(h["data_b64"]), "<f8").reshape(len(h["planes"]), -1)
@@ -351,6 +378,16 @@ def _first_plane(value):
         planes[0] = value(planes[0])
         return planes
     return change
+
+
+def _with_classes(h: dict, n: int) -> dict:
+    """Heatmaps widened to n classes, the last of which holds a uniform plane
+    in the first room."""
+    heat = heatmaps_from_dict(h)
+    data = np.zeros((heat.data.shape[0], n, *heat.data.shape[2:]))
+    data[:, : heat.data.shape[1]] = heat.data
+    data[0, -1] = 1 / heat.grid_size**2
+    return heatmaps_to_dict(HeatmapSet(data, heat.room_ids, heat.grid_size, heat.room_frames))
 
 
 NOT_A_DISTRIBUTION = "each (room, class) grid must sum to 1 or be all zero"
@@ -392,6 +429,7 @@ BAD_HEATMAPS = {
     ),
     "negated-planes": (lambda h: _with_planes(h, np.negative), "heatmap entries must be non-negative"),
     "half-mass-plane": (lambda h: _with_planes(h, _first_plane(lambda p: p * 0.5)), NOT_A_DISTRIBUTION),
+    "forty-classes": (lambda h: _with_classes(h, 40), "heatmaps hold 40 classes, not the catalog's 35"),
 }
 
 
@@ -403,17 +441,19 @@ def test_malformed_prediction_fails_cleanly(tmp_path, capsys, command, case):
     g = generate_synthetic_scene((template_by_name("kitchen"),), 2, 5, catalog)
     heat, _ = rasterize(g, 8)
     doc = {"stamp": {"S": 8, "catalog_hash": catalog.hash()}, "heatmaps": heatmaps_to_dict(heat)}
+    pred = tmp_path / "prediction.json"
     if case == "no-heatmaps":
         del doc["heatmaps"]
         message = {"layout": "holds no heatmaps", "render": "neither a prediction nor a layout"}[command]
+        prefix = "error: "
     else:
         change, message = BAD_HEATMAPS[case]
         doc["heatmaps"] = change(doc["heatmaps"])
-    pred = tmp_path / "prediction.json"
+        prefix = f"error: prediction file {pred}: "
     pred.write_text(json.dumps(doc))
     assert main(["--config", str(cfg), command, str(pred)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith(prefix) and message in err
     assert not (tmp_path / "out").exists()
 
 
@@ -497,9 +537,21 @@ BAD_LAYOUT_ROOMS = {
         lambda r: {**r, "placements": [{**r["placements"][0], "cell": [1, 4]}]},
         "cell [i, j] inside the 4x4 grid",
     ),
+    "run-value-huge": (
+        lambda r: {**r, "cells": [[10**30, 16]]},
+        "layout cells must be -1 (empty) or class indices below 35",
+    ),
+    "run-value-past-catalog": (
+        lambda r: {**r, "cells": [[-1, 6], [35, 1], [-1, 9]]},
+        "layout cells must be -1 (empty) or class indices below 35",
+    ),
     "placement-negative-class": (
         lambda r: {**r, "placements": [{**r["placements"][0], "class": -1}]},
         "placement 0 needs a class >= 0",
+    ),
+    "placement-class-past-catalog": (
+        lambda r: {**r, "placements": [{**r["placements"][0], "class": 35}]},
+        "placement 0 needs a class >= 0 and below 35",
     ),
     "placement-xy-triple": (
         lambda r: {**r, "placements": [{**r["placements"][0], "xy": [0, 1, 2]}]},
@@ -512,17 +564,23 @@ BAD_LAYOUT_ROOMS = {
 }
 
 
+# the stamp of a layout file that a grid_size 4 config renders
+LAYOUT_STAMP = {"S": 4, "catalog_hash": default_catalog().hash()}
+
+
 @pytest.mark.parametrize("case", ["rooms-not-a-list", *BAD_LAYOUT_ROOMS])
 def test_render_of_malformed_layout_fails_cleanly(tmp_path, capsys, case):
     layout = tmp_path / "layout.json"
+    doc = {"stamp": LAYOUT_STAMP, "rooms": [_room_doc()]}
     if case == "rooms-not-a-list":
-        doc, prefix, message = {"rooms": 3}, f"layout file {layout}: ", "rooms are not a list"
+        doc["rooms"], prefix, message = 3, f"layout file {layout}: ", "rooms are not a list"
     else:
         change, message = BAD_LAYOUT_ROOMS[case]
         # the second room is the malformed one; the first is not rendered
-        doc, prefix = {"rooms": [_room_doc(), change(_room_doc())]}, f"layout file {layout}: room 1: "
+        doc["rooms"].append(change(_room_doc()))
+        prefix = f"layout file {layout}: room 1: "
     layout.write_text(json.dumps(doc))
-    assert main(["--out", str(tmp_path / "out"), "render", str(layout)]) == 1
+    assert main(["--config", str(_write_config(tmp_path, grid_size=4)), "render", str(layout)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {prefix}") and message in err
     assert not (tmp_path / "out").exists()
@@ -530,8 +588,8 @@ def test_render_of_malformed_layout_fails_cleanly(tmp_path, capsys, case):
 
 def test_render_of_layout_room_writes_its_image(tmp_path):
     layout = tmp_path / "layout.json"
-    layout.write_text(json.dumps({"rooms": [_room_doc()]}))
-    assert main(["--out", str(tmp_path / "out"), "render", str(layout)]) == 0
+    layout.write_text(json.dumps({"stamp": LAYOUT_STAMP, "rooms": [_room_doc()]}))
+    assert main(["--config", str(_write_config(tmp_path, grid_size=4)), "render", str(layout)]) == 0
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["room7_layout.ppm"]
 
 
