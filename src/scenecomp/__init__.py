@@ -25,7 +25,9 @@ from .raster import HeatmapSet, ObjectCounts, rasterize
 from .dataset import (
     BsgSample,
     SceneTemplate,
+    build_sample,
     default_templates,
+    draw_masked,
     generate_synthetic_scene,
     make_sample,
     split_dataset,

@@ -25,10 +25,10 @@ from .catalog import default_catalog
 from .dataset import (
     BsgSample,
     default_templates,
+    draw_masked,
     generate_synthetic_scene,
     heatmaps_from_dict,
     heatmaps_to_dict,
-    make_sample,
     save_dataset,
     load_dataset,
     split_dataset,
@@ -179,12 +179,13 @@ def _read_object(path) -> dict:
     return doc
 
 
-def _prediction_heatmaps(doc: dict, path) -> HeatmapSet:
+def _prediction_heatmaps(doc: dict, path, grid_size: int) -> HeatmapSet:
     """The heatmaps of the prediction document read from path.
 
     `heatmaps_from_dict` checks their layout and that their values are ones
     a prediction can hold (non-negative, each plane summing to 1 or all
-    zero, hence finite); their class axis must be the catalog's.
+    zero, hence finite); their class axis must be the catalog's, and their
+    grid size must be grid_size (else ConfigMismatchError), as the stamp's.
     """
     if "heatmaps" not in doc:
         raise UnreadableInputError(f"prediction file {path} holds no heatmaps")
@@ -198,6 +199,11 @@ def _prediction_heatmaps(doc: dict, path) -> HeatmapSet:
             f"prediction file {path}: heatmaps hold {heat.data.shape[1]} classes, "
             f"not the catalog's {n_classes}"
         )
+    if heat.grid_size != grid_size:
+        raise ConfigMismatchError(
+            f"prediction file {path}: heatmaps of grid size {heat.grid_size} "
+            f"!= configured {grid_size}"
+        )
     return heat
 
 
@@ -205,22 +211,24 @@ def _blind_counts(doc: dict, heat: HeatmapSet, path) -> dict:
     """The prediction document's blind counts: {str(room id): [(class, count)]}.
 
     `blind_counts` is optional. When present it must map room ids of the
-    heatmaps to objects that map catalog class indices to non-negative
-    ints; anything else raises UnreadableInputError naming the file.
+    heatmaps to objects that map catalog class indices to ints from 0 to
+    S * S (no room places more instances than its grid has cells); anything
+    else raises UnreadableInputError naming the file.
     """
     blind = doc.get("blind_counts", {})
     rooms = {str(r) for r in heat.room_ids}
     classes = {str(c): c for c in range(default_catalog().n)}
+    cells = heat.grid_size**2
     ok = isinstance(blind, dict) and all(
         room in rooms
         and isinstance(per_class, dict)
-        and all(ci in classes and type(n) is int and n >= 0 for ci, n in per_class.items())
+        and all(ci in classes and type(n) is int and 0 <= n <= cells for ci, n in per_class.items())
         for room, per_class in blind.items()
     )
     if not ok:
         raise UnreadableInputError(
             f"prediction file {path}: blind_counts must map the heatmaps' room ids to "
-            f"objects of class index (below {len(classes)}) -> non-negative int"
+            f"objects of class index (below {len(classes)}) -> int from 0 to {cells}"
         )
     return {
         room: [(classes[ci], n) for ci, n in per_class.items()]
@@ -233,14 +241,13 @@ def cmd_generate(cfg: RunConfig) -> None:
         raise SceneCompError("n_scenes must be positive")
     catalog = default_catalog()
     templates = default_templates()
+    # a sample file is the augmented graph and its masked ids: nothing is rasterized here
     samples = []
     for i in range(cfg.n_scenes):
         scene_seed = splitmix64(cfg.seed, i)
         g = generate_synthetic_scene(templates, cfg.n_rooms, scene_seed, catalog)
         g_aug = augment(g, cfg.removal_fraction, splitmix64(scene_seed, 1))
-        samples.append(
-            make_sample(g_aug, cfg.blind_fraction, cfg.grid_size, splitmix64(scene_seed, 2))
-        )
+        samples.append((g_aug, draw_masked(g_aug, cfg.blind_fraction, splitmix64(scene_seed, 2))))
     splits = split_dataset(samples, seed=cfg.seed)
     save_dataset(samples, splits, cfg.dataset_dir, cfg.grid_size, catalog, cfg.seed)
     print(
@@ -254,13 +261,9 @@ def _load_dataset_checked(cfg: RunConfig, needed: str, *optional: str):
     """{split: [BsgSample]} of the split `needed` and those of `optional` the
     manifest lists; the dataset's other samples are not read."""
     path = _require(Path(cfg.dataset_dir) / "manifest.json", "dataset manifest")
-    manifest, splits = load_dataset(cfg.dataset_dir, (needed, *optional))
+    manifest, splits = load_dataset(cfg.dataset_dir, (needed, *optional), cfg.grid_size)
     if needed not in splits:
         raise UnreadableInputError(f"dataset manifest {path} has no {needed!r} split")
-    if manifest["grid_size"] != cfg.grid_size:
-        raise ConfigMismatchError(
-            f"dataset grid size {manifest['grid_size']} != configured {cfg.grid_size}"
-        )
     if manifest["catalog_hash"] != default_catalog().hash():
         raise ConfigMismatchError("dataset catalog hash mismatch")
     return splits
@@ -382,7 +385,7 @@ def cmd_layout(cfg: RunConfig, prediction_path) -> None:
     path = _require(prediction_path, "prediction file")
     doc = _read_object(path)
     _check_stamp(doc, cfg, "prediction file")
-    heat = _prediction_heatmaps(doc, path)
+    heat = _prediction_heatmaps(doc, path, cfg.grid_size)
     blind = _blind_counts(doc, heat, path)
     threshold = cfg.threshold if cfg.threshold is not None else default_threshold(heat.grid_size)
     rooms_out = []
@@ -407,7 +410,8 @@ def cmd_render(cfg: RunConfig, input_path) -> None:
     catalog = default_catalog()
     if "heatmaps" in doc:
         _check_stamp(doc, cfg, "prediction file")
-        written = render_heatmaps(_prediction_heatmaps(doc, path), catalog.labels, out_dir)
+        heat = _prediction_heatmaps(doc, path, cfg.grid_size)
+        written = render_heatmaps(heat, catalog.labels, out_dir)
     elif "rooms" in doc:
         _check_stamp(doc, cfg, "layout file")
         if not isinstance(doc["rooms"], list):
@@ -415,9 +419,15 @@ def cmd_render(cfg: RunConfig, input_path) -> None:
         rooms = []
         for i, room_doc in enumerate(doc["rooms"]):
             try:
-                rooms.append(layout_from_dict(room_doc, catalog.n)[:2])
+                room_id, lg, _ = layout_from_dict(room_doc, catalog.n)
             except UnreadableInputError as e:
                 raise UnreadableInputError(f"layout file {path}: room {i}: {e}") from e
+            if lg.grid_size != cfg.grid_size:
+                raise ConfigMismatchError(
+                    f"layout file {path}: room {i} of grid size {lg.grid_size} "
+                    f"!= configured {cfg.grid_size}"
+                )
+            rooms.append((room_id, lg))
         written = [render_layout(room_id, lg, out_dir) for room_id, lg in rooms]
     else:
         raise UnreadableInputError("input is neither a prediction nor a layout artifact")

@@ -2,8 +2,8 @@
 
 A sample pairs a belief graph (partial heatmaps + full counts) with the
 ground-truth heatmaps the model should recover. A sample file stores only
-the graph, the target and the masked instances: reading it rasterizes the
-input heatmaps and counts from the graph again, as `make_sample` does.
+the augmented graph and the ids of the objects it masks: reading it builds
+the sample with `build_sample`, as `make_sample` does after its draw.
 Synthetic scenes stand in for large annotated 3D datasets at desk scale.
 """
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .errors import (
     BadRatiosError,
     ConfigMismatchError,
     EmptyGraphError,
+    NoTruthGraphError,
+    SceneCompError,
     UnreadableInputError,
     read_json,
 )
@@ -37,7 +39,6 @@ from .graphs import (
     build_graph,
     graph_from_dict,
     graph_to_dict,
-    rooms_of,
 )
 from .raster import (
     DEFAULT_GRID_SIZE,
@@ -46,11 +47,10 @@ from .raster import (
     ObjectCounts,
     rasterize,
     room_frame,
-    stored_frame,
 )
 
-# Version 3 samples hold no input heatmaps or counts: they are rasterized on read.
-FORMAT_VERSION = 3
+# Version 4 samples hold the augmented graph and the masked ids: nothing of S.
+FORMAT_VERSION = 4
 
 
 def splitmix64(seed: int, index: int) -> int:
@@ -63,34 +63,38 @@ def splitmix64(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class BsgSample:
-    """One training sample: belief graph, its inputs, and the target."""
+    """One training sample: belief graph, its inputs, and the target. `truth`
+    is the graph it masks, which a sample file stores; a sample built from a
+    belief graph alone (as `predict` builds one) has none."""
 
     graph: SceneGraph
     input_heatmaps: HeatmapSet
     counts: ObjectCounts
     target_heatmaps: HeatmapSet
     masked: tuple[tuple[int, int, int], ...]  # (room_id, class_index, node_id)
+    truth: SceneGraph | None = None
 
 
-def make_sample(
-    g: SceneGraph,
-    blind_fraction: float = 0.25,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    seed: int = 0,
-) -> BsgSample:
-    """Mask a random subset of objects as blind nodes and build the sample.
+def draw_masked(g: SceneGraph, blind_fraction: float = 0.25, seed: int = 0) -> tuple[int, ...]:
+    """The sorted ids of a random subset of g's objects to mask as blind nodes.
 
-    At least one instance is always masked so the prediction target is
-    nontrivial. Counts on the belief graph equal counts on the input graph
-    by construction (each masked object becomes one blind node).
+    At least one instance is always drawn so the prediction target is
+    nontrivial.
     """
     objects = sorted(n.id for n in g.nodes_in_layer(OBJECT))
     if not objects:
         raise EmptyGraphError("cannot make a sample from a graph without objects")
-    k = max(1, round(blind_fraction * len(objects)))
-    k = min(k, len(objects))
-    masked_ids = set(random.Random(seed).sample(objects, k))
+    k = min(max(1, round(blind_fraction * len(objects))), len(objects))
+    return tuple(sorted(random.Random(seed).sample(objects, k)))
 
+
+def build_sample(g: SceneGraph, masked_ids, grid_size: int = DEFAULT_GRID_SIZE) -> BsgSample:
+    """The sample of g with the objects of masked_ids turned into blind nodes.
+
+    Counts on the belief graph equal counts on the input graph by
+    construction (each masked object becomes one blind node).
+    """
+    masked_ids = set(masked_ids)
     # Pin frames from the full graph so input and target share geometry.
     frames = {r.id: room_frame(g, r.id) for r in g.nodes_in_layer(ROOM)}
     target, _ = rasterize(g, grid_size, frames_override=frames)
@@ -110,7 +114,17 @@ def make_sample(
             nodes.append(n)
     belief = build_graph(nodes, edges, BELIEF, g.catalog)
     input_heatmaps, counts = rasterize(belief, grid_size, frames_override=frames)
-    return BsgSample(belief, input_heatmaps, counts, target, tuple(sorted(masked)))
+    return BsgSample(belief, input_heatmaps, counts, target, tuple(sorted(masked)), g)
+
+
+def make_sample(
+    g: SceneGraph,
+    blind_fraction: float = 0.25,
+    grid_size: int = DEFAULT_GRID_SIZE,
+    seed: int = 0,
+) -> BsgSample:
+    """Mask a random subset of objects as blind nodes and build the sample."""
+    return build_sample(g, draw_masked(g, blind_fraction, seed), grid_size)
 
 
 # --- synthetic scenes -----------------------------------------------------
@@ -492,63 +506,45 @@ def heatmaps_from_dict(d: dict) -> HeatmapSet:
     return HeatmapSet(data, room_ids, grid_size, room_frames)
 
 
-def sample_to_dict(s: BsgSample) -> dict:
-    """A sample as JSON-ready data: what its belief graph cannot give."""
-    return {
-        "version": FORMAT_VERSION,
-        "graph": graph_to_dict(s.graph),
-        "target_heatmaps": heatmaps_to_dict(s.target_heatmaps),
-        "masked": [list(m) for m in s.masked],
-    }
+def sample_to_dict(s) -> dict:
+    """A sample as JSON-ready data: its augmented graph and the sorted ids of
+    the objects it masks, nothing that depends on the grid size. s is a
+    BsgSample, or an (augmented graph, masked ids) pair as `draw_masked` gives
+    the ids; a BsgSample without `truth` raises NoTruthGraphError."""
+    if isinstance(s, BsgSample):
+        if s.truth is None:
+            raise NoTruthGraphError("a sample without the graph it masks cannot be saved")
+        truth, masked_ids = s.truth, [node_id for _, _, node_id in s.masked]
+    else:
+        truth, masked_ids = s
+    graph = graph_to_dict(truth)
+    return {"version": FORMAT_VERSION, "graph": graph, "masked_ids": sorted(masked_ids)}
 
 
-def sample_from_dict(d: dict) -> BsgSample:
-    """The sample that sample_to_dict wrote, its input heatmaps and counts
-    rasterized from its graph within the target's room frames. The target
-    must span the graph's rooms in id order, each room that stores an extent
-    in that extent's frame, non-zero exactly where the graph counts a node,
-    and `masked` must hold one [room id, class index, node id] int triple
-    per blind node, of its room and class; else UnreadableInputError.
+def sample_from_dict(d: dict, grid_size: int) -> BsgSample:
+    """The sample that sample_to_dict wrote, built at grid_size by `build_sample`.
+
+    The graph must hold no blind node, and `masked_ids` must list one or more
+    distinct ids of its object nodes; else UnreadableInputError.
     """
-    graph, target = graph_from_dict(d["graph"]), heatmaps_from_dict(d["target_heatmaps"])
-    rooms = rooms_of(graph)
-    room_ids = tuple(r.id for r in rooms)
-    if target.room_ids != room_ids or target.grid_size == 0:
-        raise UnreadableInputError(
-            f"target heatmaps of room ids {list(target.room_ids)} at grid size "
-            f"{target.grid_size} are not the graph's rooms {list(room_ids)}"
-        )
-    for room, frame in zip(rooms, target.room_frames):
-        stored = stored_frame(room)
-        if stored is not None and stored != frame:
-            raise UnreadableInputError(
-                f"target frame {list(frame)} of room {room.id} is not the frame "
-                f"{list(stored)} of its stored extent"
-            )
-    frames = dict(zip(room_ids, target.room_frames))
-    input_heatmaps, counts = rasterize(graph, target.grid_size, frames_override=frames)
-    if not np.array_equal(target.data.any(axis=(2, 3)), counts.data > 0):
-        raise UnreadableInputError("target heatmaps' non-zero planes are not the graph's counts")
-    masked, parent = d["masked"], {c: p for p, c in graph.edges}
+    graph, masked_ids = graph_from_dict(d["graph"]), d["masked_ids"]
+    if graph.nodes_in_layer(BLIND):
+        raise UnreadableInputError("the sample's graph holds blind nodes; it must be the unmasked graph")
+    objects = {n.id for n in graph.nodes_in_layer(OBJECT)}
+    # an exact type test: bool is a subclass of int
     if not (
-        isinstance(masked, list)
-        and all(isinstance(m, list) and [type(v) for v in m] == [int] * 3 for m in masked)
-        and sorted((r, c) for r, c, _ in masked)
-        == sorted((parent[n.id], n.class_index) for n in graph.nodes_in_layer(BLIND))
+        isinstance(masked_ids, list)
+        and masked_ids
+        and all(type(i) is int and i in objects for i in masked_ids)
+        and len(set(masked_ids)) == len(masked_ids)
     ):
-        raise UnreadableInputError("masked is not an int triple [room, class, node] per blind node")
-    return BsgSample(graph, input_heatmaps, counts, target, tuple(map(tuple, masked)))
+        raise UnreadableInputError("masked_ids must list one or more distinct object node ids")
+    return build_sample(graph, masked_ids, grid_size)
 
 
-def save_dataset(
-    samples: list[BsgSample],
-    splits: tuple[list[BsgSample], list[BsgSample], list[BsgSample]],
-    out_dir,
-    grid_size: int,
-    catalog: ClassCatalog,
-    master_seed: int,
-) -> None:
-    """Write one JSON per sample plus a manifest with split membership."""
+def save_dataset(samples, splits, out_dir, grid_size: int, catalog: ClassCatalog, master_seed: int):
+    """Write one JSON per sample (as sample_to_dict takes it) plus a manifest
+    with the grid size and split membership."""
     out_dir = Path(out_dir)
     (out_dir / "samples").mkdir(parents=True, exist_ok=True)
     names = {}
@@ -582,21 +578,15 @@ def _check_version(doc, what: str) -> None:
 
 
 def _load_sample(path: Path, grid_size, catalog_hash) -> BsgSample:
-    """The sample in path, checked against its manifest's grid size and catalog."""
+    """The sample in path built at its manifest's grid size, checked against its catalog."""
     doc = read_json(path)
     _check_version(doc, f"dataset sample {path}")
     try:
-        s = sample_from_dict(doc)
-    except UnreadableInputError as e:
+        s = sample_from_dict(doc, grid_size)
+    except SceneCompError as e:  # a malformed graph or masked_ids, or a degenerate room
         raise UnreadableInputError(f"dataset sample {path}: {e}") from e
     except (KeyError, TypeError, ValueError) as e:
         raise UnreadableInputError(f"unreadable dataset sample {path}: {e!r}") from e
-    # the target's shape fits its grid size, and the input is rasterized at it
-    if s.target_heatmaps.grid_size != grid_size:
-        raise ConfigMismatchError(
-            f"dataset sample {path}: grid size {s.target_heatmaps.grid_size} "
-            f"!= manifest grid size {grid_size}"
-        )
     if s.graph.catalog.hash() != catalog_hash:
         raise ConfigMismatchError(f"dataset sample {path}: catalog hash differs from the manifest's")
     return s
@@ -606,15 +596,17 @@ def _is_sample_name(name) -> bool:
     return isinstance(name, str) and Path(name).name == name and name.endswith(".json")
 
 
-def load_dataset(in_dir, splits=None):
+def load_dataset(in_dir, splits=None, grid_size=None):
     """Read a dataset directory; returns (manifest, {split: [BsgSample]}).
 
     The manifest is read and checked whole: it must be of format version
-    FORMAT_VERSION, and each of its splits a list of sample file names in
-    `samples/`. Only the samples of the splits named in `splits` are then
-    read and checked (None: every split; a named split the manifest lacks is
-    left out of the result). Each must be of format version FORMAT_VERSION
-    and of the manifest's grid size and catalog; otherwise
+    FORMAT_VERSION, its grid size a positive int, and each of its splits a
+    list of sample file names in `samples/`. A manifest of another grid size
+    than `grid_size` (when given) raises ConfigMismatchError before any
+    sample is read. Only the samples of the splits named in `splits` are then
+    read (None: every split; a named split the manifest lacks is left out of
+    the result) and built at the manifest's grid size. Each must be of format
+    version FORMAT_VERSION and of the manifest's catalog; otherwise
     ConfigMismatchError. A file that is not a well-formed manifest or sample
     raises UnreadableInputError.
     """
@@ -623,10 +615,15 @@ def load_dataset(in_dir, splits=None):
     manifest = read_json(path)
     _check_version(manifest, f"dataset manifest {path}")
     try:
-        grid_size, catalog_hash = manifest["grid_size"], manifest["catalog_hash"]
+        size, catalog_hash = manifest["grid_size"], manifest["catalog_hash"]
         listed = manifest["splits"].items()
     except (AttributeError, KeyError, TypeError) as e:
         raise UnreadableInputError(f"unreadable dataset manifest {path}: {e!r}") from e
+    # an exact type test: bool is a subclass of int
+    if type(size) is not int or size <= 0:
+        raise UnreadableInputError(f"dataset manifest {path}: grid size {size!r} is not a positive int")
+    if grid_size is not None and size != grid_size:
+        raise ConfigMismatchError(f"dataset grid size {size} != configured {grid_size}")
     for split, names in listed:
         if not isinstance(names, list) or not all(map(_is_sample_name, names)):
             raise UnreadableInputError(
@@ -634,7 +631,7 @@ def load_dataset(in_dir, splits=None):
             )
     samples = in_dir / "samples"
     return manifest, {
-        split: [_load_sample(samples / name, grid_size, catalog_hash) for name in names]
+        split: [_load_sample(samples / name, size, catalog_hash) for name in names]
         for split, names in listed
         if splits is None or split in splits
     }

@@ -50,6 +50,10 @@ class BadRatiosError(SceneCompError):
     pass
 
 
+class NoTruthGraphError(SceneCompError):
+    pass
+
+
 # ontology
 class CatalogMismatchError(SceneCompError):
     pass

@@ -282,7 +282,11 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
         raise ShapeMismatchError(f"shape {pred.shape} != {target.shape}")
     diff = pred - target
     loss = float(np.mean(diff ** 2))
-    return loss, 2.0 * diff / diff.size
+    # the gradient 2.0 * diff / diff.size, written into diff: the same two
+    # operations in the same order, without two more output-sized arrays
+    np.multiply(2.0, diff, out=diff)
+    diff /= diff.size
+    return loss, diff
 
 
 # --- optimizer ------------------------------------------------------------

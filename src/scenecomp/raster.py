@@ -12,6 +12,7 @@ result is bitwise that of rasterizing one object at a time.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,10 +72,13 @@ def room_frame(g: SceneGraph, room_id: int) -> Frame:
     """The room's bounding rectangle on the (x, y) plane.
 
     Uses the stored room extent when present, otherwise the AABB of the
-    room's object children.
+    room's object children. A stored extent whose frame is not finite raises
+    DegenerateRoomError.
     """
     frame = stored_frame(g.node(room_id))
     if frame is not None:
+        if not all(map(math.isfinite, frame)):
+            raise DegenerateRoomError(f"room {room_id} has a non-finite extent {list(frame)}")
         return frame
     objs = children_of(g, room_id, OBJECT)
     if not objs:

@@ -457,23 +457,33 @@ def test_malformed_prediction_fails_cleanly(tmp_path, capsys, command, case):
     assert not (tmp_path / "out").exists()
 
 
-# the one stored heatmap set of a sample; the input heatmaps are rasterized on read
-@pytest.mark.parametrize("heatmaps", ["target_heatmaps"])
-@pytest.mark.parametrize("case", ["negated-planes", "nan-plane", "inf-plane", "half-mass-plane"])
-def test_train_on_dataset_heatmap_values_fails_cleanly(tmp_path, capsys, heatmaps, case):
-    cfg = _write_config(tmp_path, n_scenes=4)
-    assert main(["--config", str(cfg), "generate"]) == 0
-    sample = tmp_path / "dataset" / "samples" / "sample_00000.json"
-    doc = json.loads(sample.read_text())
-    assert doc[heatmaps]["planes"]
-    change, message = BAD_HEATMAPS[case]
-    doc[heatmaps] = change(doc[heatmaps])
-    sample.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["--config", str(cfg), "train"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: dataset sample {sample}: ") and message in err
-    assert not (tmp_path / "checkpoint.json").exists()
+def test_layout_and_render_refuse_prediction_body_of_other_grid_size(tmp_path, capsys):
+    # a prediction stamped S=8 whose heatmaps are 16x16
+    catalog = default_catalog()
+    g = generate_synthetic_scene((template_by_name("kitchen"),), 2, 5, catalog)
+    heat, _ = rasterize(g, 16)
+    pred = tmp_path / "prediction.json"
+    pred.write_text(json.dumps(
+        {"stamp": {"S": 8, "catalog_hash": catalog.hash()}, "heatmaps": heatmaps_to_dict(heat)}
+    ))
+    cfg = _write_config(tmp_path)
+    for command in ("layout", "render"):
+        assert main(["--config", str(cfg), command, str(pred)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: prediction file {pred}: heatmaps of grid size 16 != configured 8\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+
+def test_render_refuses_layout_room_of_other_grid_size(tmp_path, capsys):
+    # a layout file stamped S=8 whose one room is 4x4
+    layout = tmp_path / "layout.json"
+    layout.write_text(json.dumps({"stamp": {**LAYOUT_STAMP, "S": 8}, "rooms": [_room_doc()]}))
+    assert main(["--config", str(_write_config(tmp_path)), "render", str(layout)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: layout file {layout}: room 0 of grid size 4 != configured 8\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 # blind_counts of a prediction whose heatmaps hold rooms 1 and 9 (any other
@@ -487,6 +497,9 @@ BAD_BLIND_COUNTS = {
     "negative-count": {"1": {"0": -1}},
     "float-count": {"1": {"0": 1.5}},
     "bool-count": {"1": {"0": True}},
+    # more instances than the 8 x 8 grid has cells
+    "count-past-cells": {"1": {"0": 8 * 8 + 1}},
+    "count-huge": {"1": {"0": 10**9}},
 }
 
 
@@ -502,9 +515,27 @@ def test_layout_of_malformed_blind_counts_fails_cleanly(tmp_path, capsys, case):
         "heatmaps": heatmaps_to_dict(heat),
         "blind_counts": BAD_BLIND_COUNTS[case],
     }))
+    start = time.perf_counter()
     assert main(["--config", str(_write_config(tmp_path)), "layout", str(pred)]) == 1
+    # refused before any placement: a placement per counted instance would take hours
+    assert time.perf_counter() - start < 10
     assert capsys.readouterr().err.startswith(f"error: prediction file {pred}: blind_counts must map")
     assert not (tmp_path / "out").exists()
+
+
+def test_layout_places_a_full_grid_of_blind_instances(tmp_path):
+    catalog = default_catalog()
+    g = generate_synthetic_scene((template_by_name("kitchen"),), 2, 5, catalog)
+    heat, _ = rasterize(g, 8)
+    pred = tmp_path / "prediction.json"
+    pred.write_text(json.dumps({
+        "stamp": {"S": 8, "catalog_hash": catalog.hash()},
+        "heatmaps": heatmaps_to_dict(heat),
+        "blind_counts": {"1": {"0": 8 * 8}},
+    }))
+    assert main(["--config", str(_write_config(tmp_path)), "layout", str(pred)]) == 0
+    rooms = json.loads((tmp_path / "out" / "layout.json").read_text())["rooms"]
+    assert [len(r["placements"]) for r in rooms] == [64, 0]
 
 
 def _room_doc():

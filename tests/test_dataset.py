@@ -1,6 +1,5 @@
 import base64
 import json
-import shutil
 
 import numpy as np
 import pytest
@@ -9,6 +8,9 @@ import scenecomp.dataset as dataset_module
 from scenecomp.catalog import default_catalog
 from scenecomp.cli import main
 from scenecomp.dataset import (
+    BsgSample,
+    build_sample,
+    draw_masked,
     generate_synthetic_scene,
     heatmaps_from_dict,
     heatmaps_to_dict,
@@ -21,8 +23,14 @@ from scenecomp.dataset import (
     splitmix64,
     template_by_name,
 )
-from scenecomp.errors import BadRatiosError, ConfigMismatchError, EmptyGraphError
-from scenecomp.graphs import GROUND_TRUTH, OBJECT, build_graph, rooms_of
+from scenecomp.errors import (
+    BadRatiosError,
+    ConfigMismatchError,
+    EmptyGraphError,
+    NoTruthGraphError,
+    UnreadableInputError,
+)
+from scenecomp.graphs import GROUND_TRUTH, OBJECT, build_graph, graph_to_dict, rooms_of
 from scenecomp.raster import HeatmapSet, rasterize, room_frame
 
 from conftest import simple_graph, toy_samples
@@ -78,6 +86,19 @@ def test_make_sample_empty(catalog):
     g = simple_graph(catalog, (0,))
     with pytest.raises(EmptyGraphError):
         make_sample(g, 0.25, 8, 0)
+    with pytest.raises(EmptyGraphError):
+        draw_masked(g, 0.25, 0)
+
+
+def test_make_sample_is_draw_then_build(catalog):
+    g = simple_graph(catalog, (7, 6))
+    ids = draw_masked(g, 0.3, seed=9)
+    assert list(ids) == sorted(ids) and len(ids) == round(0.3 * 13)
+    a, b = make_sample(g, 0.3, 8, seed=9), build_sample(g, ids, 8)
+    for name in ("input_heatmaps", "target_heatmaps", "counts"):
+        assert getattr(a, name).data.tobytes() == getattr(b, name).data.tobytes()
+    assert a.graph == b.graph and a.masked == b.masked
+    assert a.truth is b.truth is g
 
 
 def test_kitchen_template_rules(catalog):
@@ -147,21 +168,35 @@ def test_split_deterministic():
 
 
 def test_sample_round_trip(small_catalog, toy_template):
-    # the input heatmaps and counts are not stored: reading rasterizes them again
+    # a sample file holds the augmented graph and the masked ids: reading
+    # builds every field again, bitwise as make_sample built it
     for grid_size in (8, 16, 32):
-        s = toy_samples(small_catalog, toy_template, n=1, grid_size=grid_size)[0]
-        s2 = sample_from_dict(json.loads(json.dumps(sample_to_dict(s))))
-        for name in ("input_heatmaps", "target_heatmaps"):
-            h, h2 = getattr(s, name), getattr(s2, name)
-            assert h2.data.tobytes() == h.data.tobytes()
-            assert (h2.data.shape, h2.room_ids, h2.grid_size, h2.room_frames) == (
-                h.data.shape, h.room_ids, h.grid_size, h.room_frames
-            )
-        assert s2.counts.data.dtype == s.counts.data.dtype
-        assert s2.counts.data.tobytes() == s.counts.data.tobytes()
-        assert s2.counts.room_ids == s.counts.room_ids
-        assert s.masked == s2.masked
-        assert s.graph.nodes == s2.graph.nodes and s.graph.edges == s2.graph.edges
+        for s in toy_samples(small_catalog, toy_template, n=3, grid_size=grid_size):
+            d = json.loads(json.dumps(sample_to_dict(s)))
+            assert list(d) == ["version", "graph", "masked_ids"]
+            assert d["masked_ids"] == sorted(node_id for _, _, node_id in s.masked)
+            s2 = sample_from_dict(d, grid_size)
+            for name in ("input_heatmaps", "target_heatmaps"):
+                h, h2 = getattr(s, name), getattr(s2, name)
+                assert h2.data.tobytes() == h.data.tobytes()
+                assert (h2.data.shape, h2.room_ids, h2.grid_size, h2.room_frames) == (
+                    h.data.shape, h.room_ids, h.grid_size, h.room_frames
+                )
+            assert s2.counts.data.dtype == s.counts.data.dtype
+            assert s2.counts.data.tobytes() == s.counts.data.tobytes()
+            assert s2.counts.room_ids == s.counts.room_ids
+            assert s.masked == s2.masked
+            for g, g2 in ((s.graph, s2.graph), (s.truth, s2.truth)):
+                assert (g.nodes, g.edges, g.kind) == (g2.nodes, g2.edges, g2.kind)
+                assert g.catalog == g2.catalog
+
+
+def test_sample_without_truth_not_saved(tmp_path, small_catalog, toy_template):
+    s = toy_samples(small_catalog, toy_template, n=1, grid_size=8)[0]
+    bare = BsgSample(s.graph, s.input_heatmaps, s.counts, s.target_heatmaps, s.masked)
+    with pytest.raises(NoTruthGraphError):
+        save_dataset([bare], ([bare], [], []), tmp_path, 8, small_catalog, master_seed=0)
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_dataset_dir_round_trip(tmp_path, small_catalog, toy_template):
@@ -173,6 +208,20 @@ def test_dataset_dir_round_trip(tmp_path, small_catalog, toy_template):
     assert manifest["catalog_hash"] == small_catalog.hash()
     total = sum(len(v) for v in loaded.values())
     assert total == 6
+    # a sample read back saves to the same bytes
+    back = [s for split in ("train", "val", "test") for s in loaded[split]]
+    assert [sample_to_dict(s) for s in back] == [
+        sample_to_dict(s) for split in splits for s in split
+    ]
+
+
+@pytest.mark.parametrize("grid_size", [0, -1, True, 8.0])
+def test_manifest_grid_size_must_be_a_positive_int(tmp_path, small_catalog, toy_template, grid_size):
+    samples = toy_samples(small_catalog, toy_template, n=2, grid_size=8)
+    save_dataset(samples, split_dataset(samples, seed=0), tmp_path, 8, small_catalog, master_seed=0)
+    _rewrite(tmp_path / "manifest.json", lambda m: m.update(grid_size=grid_size))
+    with pytest.raises(UnreadableInputError, match=f"grid size {grid_size!r} is not a positive int"):
+        load_dataset(tmp_path)
 
 
 def test_splitmix_spread():
@@ -262,9 +311,23 @@ def _rewrite(path, change):
     path.write_text(json.dumps(doc))
 
 
+def _to_version_3(doc):
+    # version 3 stored the belief graph, the target heatmaps (here of a grid
+    # size 8 dataset) and the masked [room, class, node] triples
+    s = sample_from_dict(doc, 8)
+    doc.clear()
+    doc.update(
+        version=3,
+        graph=graph_to_dict(s.graph),
+        target_heatmaps=heatmaps_to_dict(s.target_heatmaps),
+        masked=[list(m) for m in s.masked],
+    )
+
+
 def _to_version_2(doc):
     # version 2 also stored the input heatmaps and counts
-    s = sample_from_dict(doc)
+    s = sample_from_dict(doc, 8)
+    _to_version_3(doc)
     doc["version"] = 2
     doc["input_heatmaps"] = heatmaps_to_dict(s.input_heatmaps)
     doc["counts"] = {"room_ids": list(s.counts.room_ids), "data": s.counts.data.tolist()}
@@ -279,12 +342,19 @@ def _to_version_1(doc):
 
 @pytest.mark.parametrize(
     "version, whole",
-    [(1, True), (1, False), (2, True), (2, False)],
-    ids=["dataset", "one-sample", "version-2-dataset", "version-2-one-sample"],
+    [(1, True), (1, False), (2, True), (2, False), (3, True), (3, False)],
+    ids=[
+        "dataset",
+        "one-sample",
+        "version-2-dataset",
+        "version-2-one-sample",
+        "version-3-dataset",
+        "version-3-one-sample",
+    ],
 )
 def test_version_1_dataset_refused(tmp_path, capsys, version, whole):
     cfg, ds = _generate(tmp_path, 8)
-    to_version = {1: _to_version_1, 2: _to_version_2}[version]
+    to_version = {1: _to_version_1, 2: _to_version_2, 3: _to_version_3}[version]
     sample = sorted((ds / "samples").iterdir())[1]
     _rewrite(sample, to_version)
     if whole:
@@ -297,19 +367,23 @@ def test_version_1_dataset_refused(tmp_path, capsys, version, whole):
     err = capsys.readouterr().err
     what = "dataset manifest" if whole else f"dataset sample {sample}"
     assert err.startswith(f"error: {what}")
-    assert f"has format version {version}; only version 3 can be read: regenerate" in err
+    assert f"has format version {version}; only version 4 can be read: regenerate" in err
 
 
-def test_sample_of_other_grid_size_refused(tmp_path, capsys):
-    cfg, ds = _generate(tmp_path, 32)
-    _, small = _generate(tmp_path, 16)
-    sample = sorted((ds / "samples").iterdir())[0]
-    shutil.copyfile(small / "samples" / sample.name, sample)
-    capsys.readouterr()
-    assert main(["--config", str(cfg), "train"]) == 1
-    assert capsys.readouterr().err == (
-        f"error: dataset sample {sample}: grid size 16 != manifest grid size 32\n"
+def test_sample_files_do_not_depend_on_grid_size(tmp_path):
+    # the same seed writes the same sample files at any grid size; only the
+    # manifest names the size the samples are built at
+    _, ds8 = _generate(tmp_path, 8)
+    _, ds16 = _generate(tmp_path, 16)
+    files8, files16 = (
+        {p.name: p.read_bytes() for p in (ds / "samples").iterdir()} for ds in (ds8, ds16)
     )
+    assert len(files8) == 4 and files8 == files16
+    m8, m16 = (json.loads((ds / "manifest.json").read_text()) for ds in (ds8, ds16))
+    assert (m8.pop("grid_size"), m16.pop("grid_size")) == (8, 16) and m8 == m16
+    for split, samples in load_dataset(ds16)[1].items():
+        for s in samples:
+            assert s.input_heatmaps.grid_size == s.target_heatmaps.grid_size == 16
 
 
 def test_sample_of_other_catalog_refused(tmp_path, small_catalog, toy_template):
@@ -320,6 +394,7 @@ def test_sample_of_other_catalog_refused(tmp_path, small_catalog, toy_template):
 
 
 NOT_NAMES = "split {!r} is not a list of sample file names"
+MASKED_IDS = "masked_ids must list one or more distinct object node ids"
 
 
 def _set_split(name, value):
@@ -330,31 +405,16 @@ def _first_of_split(name, value):
     return lambda d: d["splits"][name].__setitem__(0, value)
 
 
-def _drop_last_target_plane(d):
-    h = d["target_heatmaps"]
-    raw = base64.b64decode(h["data_b64"])
-    h["planes"] = h["planes"][:-1]
-    h["data_b64"] = base64.b64encode(raw[: -8 * h["grid_size"] ** 2]).decode("ascii")
+def _first_masked_id(value):
+    return lambda d: d["masked_ids"].__setitem__(0, value(d))
 
 
-def _reverse_target_rooms(d):
-    h = d["target_heatmaps"]
-    assert len(h["room_ids"]) > 1
-    h["room_ids"] = h["room_ids"][::-1]
+def _first_room(d):
+    return next(n for n in d["graph"]["nodes"] if n["layer"] == "room")
 
 
-def _shift_first_masked_class(d):
-    d["masked"][0][1] += 1
-
-
-def _move_first_target_frame(d):
-    # generated rooms store their extent, so the frame is the graph's to give
-    d["target_heatmaps"]["room_frames"][0][0] -= 1
-
-
-def _target_of_grid_size_0(d):
-    h = d["target_heatmaps"]
-    h.update(grid_size=0, shape=h["shape"][:2] + [0, 0], data_b64="")
+def _to_belief_graph(d):
+    d["graph"] = graph_to_dict(sample_from_dict(d, 8).graph)
 
 
 @pytest.mark.parametrize(
@@ -363,7 +423,7 @@ def _target_of_grid_size_0(d):
         ("train", "manifest.json", lambda d: d.pop("splits"), "unreadable dataset manifest"),
         ("train", "manifest.json", lambda d: d.update(splits=["train"]), "unreadable dataset manifest"),
         ("train", "sample_00000.json", lambda d: d.pop("graph"), "unreadable dataset sample"),
-        ("train", "sample_00000.json", lambda d: d["target_heatmaps"].pop("planes"), "lack the keys ['planes']"),
+        ("train", "sample_00000.json", lambda d: d.pop("masked_ids"), "unreadable dataset sample"),
         ("train", "manifest.json", lambda d: d["splits"].pop("train"), "has no 'train' split"),
         ("eval", "manifest.json", lambda d: d["splits"].pop("test"), "has no 'test' split"),
         ("eval", "manifest.json", _set_split("test", "sample_00001.json"), NOT_NAMES.format("test")),
@@ -374,18 +434,27 @@ def _target_of_grid_size_0(d):
         ("eval", "manifest.json", _first_of_split("test", 1), NOT_NAMES.format("test")),
         ("eval", "manifest.json", _first_of_split("train", "../manifest.json"), NOT_NAMES.format("train")),
         ("train", "manifest.json", _set_split("test", "sample_00001.json"), NOT_NAMES.format("test")),
-        ("train", "sample_00000.json", _reverse_target_rooms, "are not the graph's rooms"),
-        ("train", "sample_00000.json", _target_of_grid_size_0, "at grid size 0"),
-        ("train", "sample_00000.json", _move_first_target_frame, "is not the frame"),
-        ("train", "sample_00000.json", _drop_last_target_plane, "non-zero planes are not the graph's counts"),
-        ("train", "sample_00000.json", lambda d: d.update(masked="abc"), "masked is not an int triple"),
-        ("train", "sample_00000.json", _shift_first_masked_class, "per blind node"),
+        # a sample's target is built at its manifest's grid size
+        ("train", "manifest.json", lambda d: d.update(grid_size=0), "grid size 0 is not a positive int"),
+        ("train", "sample_00000.json", lambda d: d.update(masked_ids="abc"), MASKED_IDS),
+        ("train", "sample_00000.json", lambda d: d.update(masked_ids=[]), MASKED_IDS),
+        ("train", "sample_00000.json", lambda d: d["masked_ids"].append(d["masked_ids"][0]), MASKED_IDS),
+        ("train", "sample_00000.json", _first_masked_id(lambda d: float(d["masked_ids"][0])), MASKED_IDS),
+        ("train", "sample_00000.json", _first_masked_id(lambda d: _first_room(d)["id"]), MASKED_IDS),
+        ("train", "sample_00000.json", _first_masked_id(lambda d: 10**6), MASKED_IDS),
+        ("train", "sample_00000.json", _to_belief_graph, "holds blind nodes"),
+        (
+            "train",
+            "sample_00000.json",
+            lambda d: _first_room(d)["dimensions"].__setitem__(0, float("inf")),
+            "has a non-finite extent",
+        ),
     ],
     ids=[
         "manifest-without-splits",
         "splits-not-an-object",
         "sample-without-graph",
-        "dense-heatmaps",
+        "sample-without-masked-ids",
         "train-without-train-split",
         "eval-without-test-split",
         "split-a-string",
@@ -396,12 +465,15 @@ def _target_of_grid_size_0(d):
         "name-not-a-string",
         "unread-split-checked",
         "unread-split-checked-by-train",
-        "target-rooms-not-the-graphs",
         "target-of-grid-size-0",
-        "target-frame-not-the-rooms-extent",
-        "target-plane-the-graph-does-not-count",
         "masked-a-string",
-        "masked-class-not-a-blind-nodes",
+        "masked-ids-empty",
+        "masked-id-repeated",
+        "masked-id-a-float",
+        "masked-id-not-an-object",
+        "masked-id-not-in-graph",
+        "graph-of-blind-nodes",
+        "room-extent-not-finite",
     ],
 )
 def test_malformed_dataset_fails_cleanly(tmp_path, capsys, command, file, change, message):
@@ -438,6 +510,15 @@ def _count_sample_reads(monkeypatch):
 
     monkeypatch.setattr(dataset_module, "_load_sample", counting)
     return read
+
+
+def test_manifest_of_other_grid_size_refused_before_any_sample_is_read(tmp_path, monkeypatch):
+    _, ds = _generate(tmp_path, 8)
+    read = _count_sample_reads(monkeypatch)
+    with pytest.raises(ConfigMismatchError, match="dataset grid size 8 != configured 16"):
+        load_dataset(ds, grid_size=16)
+    assert read == []
+    assert len(load_dataset(ds, ("train",), 8)[1]["train"]) == len(read) > 0
 
 
 @pytest.mark.parametrize("command, split_names", [("train", ("train", "val")), ("eval", ("test",))])

@@ -17,6 +17,8 @@ is `predict` as it was before `predict_many`: one graph's own eval-mode
 forward (the former `raw_outputs`), then `postprocess`. `dense_train` is `train` as it was
 before it stepped over the live rows of w0 only: every step runs forward,
 backward and Adam over the full w0; it too is verbatim apart from its name.
+`alloc_mse_loss` is `mse_loss` as it was before it wrote the gradient into
+its difference array, verbatim apart from its name.
 """
 import copy
 import dataclasses
@@ -188,6 +190,15 @@ def dense_adam_step(
         m_hat = state.m[name] / (1 - beta1 ** t)
         v_hat = state.v[name] / (1 - beta2 ** t)
         params[name] -= lr_t * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def alloc_mse_loss(pred: np.ndarray, target: np.ndarray):
+    """Mean squared error and its gradient w.r.t. pred."""
+    if pred.shape != target.shape:
+        raise ShapeMismatchError(f"shape {pred.shape} != {target.shape}")
+    diff = pred - target
+    loss = float(np.mean(diff ** 2))
+    return loss, 2.0 * diff / diff.size
 
 
 def loop_normalized_adjacency(g: SceneGraph, node_ids: list[int] | None = None) -> sp.csr_matrix:
@@ -531,6 +542,27 @@ def test_adam_resumed_from_checkpoint_equals_dense(tmp_path):
         assert np.array_equal(params[k], params_ref[k]), k
         assert np.array_equal(state.m[k], state_ref.m[k]), k
         assert np.array_equal(state.v[k], state_ref.v[k]), k
+
+
+@pytest.mark.parametrize("shape", [(1,), (3, 5), (7, 2), (36, 8960), (48, 35840)])
+def test_mse_loss_bitwise_equals_alloc_oracle(shape):
+    # (36, 8960) and (48, 35840) are a training batch's output at S=16 and S=32
+    rng = np.random.default_rng(shape[0])
+    pred = rng.normal(size=shape) * 10.0 ** rng.integers(-150, 150, size=shape)
+    target = rng.normal(size=shape)
+    # every fifth difference lies down to the subnormal range, where
+    # 2.0 * diff / n and 2.0 * (diff / n) round differently
+    pred.flat[1::5] *= 1e-300
+    target.flat[1::5] = 0.0
+    pred.flat[0], target.flat[-1] = -0.0, 0.0
+    pred_before, target_before = pred.tobytes(), target.tobytes()
+    loss, grad = nn.mse_loss(pred, target)
+    loss_ref, grad_ref = alloc_mse_loss(pred, target)
+    assert np.float64(loss).tobytes() == np.float64(loss_ref).tobytes()
+    assert grad.shape == grad_ref.shape and grad.tobytes() == grad_ref.tobytes()
+    # the gradient is a new array: neither input is written
+    assert pred.tobytes() == pred_before and target.tobytes() == target_before
+    assert not np.shares_memory(grad, pred) and not np.shares_memory(grad, target)
 
 
 @pytest.mark.parametrize("which", ["param", "grad"])

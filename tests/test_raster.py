@@ -347,6 +347,6 @@ def test_sample_rasters_equal_loop_oracle(catalog, grid_size):
         s = make_sample(g_aug, 0.25, grid_size, seed)
         target, _ = loop_rasterize(g_aug, grid_size, frames_override=frames)
         heat, counts = loop_rasterize(s.graph, grid_size, frames_override=frames)
-        for read in (s, sample_from_dict(sample_to_dict(s))):
+        for read in (s, sample_from_dict(sample_to_dict(s), grid_size)):
             assert_heatmaps_identical(read.target_heatmaps, target)
             assert_raster_identical((read.input_heatmaps, read.counts), (heat, counts))
