@@ -45,8 +45,7 @@ from .raster import (
     Frame,
     HeatmapSet,
     ObjectCounts,
-    rasterize,
-    room_frame,
+    rasterize_masked,
 )
 
 # Version 4 samples hold the augmented graph and the masked ids: nothing of S.
@@ -91,14 +90,13 @@ def draw_masked(g: SceneGraph, blind_fraction: float = 0.25, seed: int = 0) -> t
 def build_sample(g: SceneGraph, masked_ids, grid_size: int = DEFAULT_GRID_SIZE) -> BsgSample:
     """The sample of g with the objects of masked_ids turned into blind nodes.
 
-    Counts on the belief graph equal counts on the input graph by
-    construction (each masked object becomes one blind node).
+    One `rasterize_masked` pass gives the target, the input and the counts
+    within g's frames: an input plane is the target's unless it holds a
+    masked object. Counts on the belief graph equal counts on the input
+    graph by construction (each masked object becomes one blind node).
     """
     masked_ids = set(masked_ids)
-    # Pin frames from the full graph so input and target share geometry.
-    frames = {r.id: room_frame(g, r.id) for r in g.nodes_in_layer(ROOM)}
-    target, _ = rasterize(g, grid_size, frames_override=frames)
-
+    target, input_heatmaps, counts = rasterize_masked(g, masked_ids, grid_size)
     parent = {child: p for p, child in g.edges}
     masked = []
     next_id = max(n.id for n in g.nodes) + 1
@@ -113,7 +111,6 @@ def build_sample(g: SceneGraph, masked_ids, grid_size: int = DEFAULT_GRID_SIZE) 
         else:
             nodes.append(n)
     belief = build_graph(nodes, edges, BELIEF, g.catalog)
-    input_heatmaps, counts = rasterize(belief, grid_size, frames_override=frames)
     return BsgSample(belief, input_heatmaps, counts, target, tuple(sorted(masked)), g)
 
 

@@ -18,8 +18,10 @@ from .errors import (
     LayerViolationError,
     MultipleParentsError,
     NegativeCountError,
+    SceneCompError,
     UnknownClassError,
     UnknownRoomError,
+    UnreadableInputError,
     read_json,
 )
 
@@ -246,24 +248,66 @@ def graph_to_dict(g: SceneGraph) -> dict:
     }
 
 
-def graph_from_dict(d: dict) -> SceneGraph:
-    catalog = ClassCatalog(tuple(d["catalog"]))
-    nodes = []
-    for nd in d["nodes"]:
+_GRAPH_KEYS = ("catalog", "nodes", "edges", "kind")
+
+
+def _is_int(v) -> bool:
+    return type(v) is int  # an exact type test: bool is a subclass of int
+
+
+def _coords(nd: dict, key: str) -> tuple[float, ...] | None:
+    v = nd.get(key)
+    if v is None:
+        return None
+    if not (isinstance(v, list) and len(v) == 3 and all(type(x) in (int, float) for x in v)):
+        raise UnreadableInputError(f"graph node {nd['id']}: {key} {v!r} is not a list of 3 numbers")
+    return tuple(float(x) for x in v)
+
+
+def graph_from_dict(d) -> SceneGraph:
+    """The graph that graph_to_dict wrote, checked by build_graph.
+
+    A document not of that shape raises UnreadableInputError: one that is
+    not an object or lacks a key; a catalog that is not a list of distinct
+    non-empty labels; nodes or edges that are not lists; a node that is not
+    an object with an int id and a string layer; a position or dimensions
+    that are not 3 numbers; an edge that is not a pair of ints; or an
+    unknown kind.
+    """
+    if not isinstance(d, dict):
+        raise UnreadableInputError("a graph is not a JSON object")
+    missing = [k for k in _GRAPH_KEYS if k not in d]
+    if missing:
+        raise UnreadableInputError(f"a graph lacks the keys {missing}")
+    labels, nodes, edges, kind = (d[k] for k in _GRAPH_KEYS)
+    if not (
+        isinstance(labels, list)
+        and all(isinstance(label, str) and label for label in labels)
+        and len(set(labels)) == len(labels)
+    ):
+        raise UnreadableInputError("a graph's catalog must list distinct non-empty class labels")
+    if not isinstance(nodes, list) or not isinstance(edges, list):
+        raise UnreadableInputError("a graph's nodes and edges must be lists")
+    if kind not in KINDS:
+        raise UnreadableInputError(f"unknown graph kind {kind!r}")
+    catalog = ClassCatalog(tuple(labels))
+    out = []
+    for nd in nodes:
+        if not (isinstance(nd, dict) and _is_int(nd.get("id")) and isinstance(nd.get("layer"), str)):
+            raise UnreadableInputError(f"graph node {nd!r} is not an object with an int id and a layer")
         cls = nd.get("class")
-        pos = nd.get("position")
-        dim = nd.get("dimensions")
-        nodes.append(
+        out.append(
             SceneNode(
-                id=int(nd["id"]),
+                id=nd["id"],
                 layer=nd["layer"],
                 class_index=None if cls is None else catalog.index(cls),
-                position=None if pos is None else tuple(float(v) for v in pos),
-                dimensions=None if dim is None else tuple(float(v) for v in dim),
+                position=_coords(nd, "position"),
+                dimensions=_coords(nd, "dimensions"),
             )
         )
-    edges = [(int(p), int(c)) for p, c in d["edges"]]
-    return build_graph(nodes, edges, d["kind"], catalog)
+    if not all(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges):
+        raise UnreadableInputError("each graph edge must be a pair of int node ids")
+    return build_graph(out, [tuple(e) for e in edges], kind, catalog)
 
 
 def save_graph(g: SceneGraph, path) -> None:
@@ -272,4 +316,10 @@ def save_graph(g: SceneGraph, path) -> None:
 
 
 def load_graph(path) -> SceneGraph:
-    return graph_from_dict(read_json(path))
+    """The graph in the JSON file at path; a graph that is malformed or fails
+    build_graph's checks raises UnreadableInputError naming the file."""
+    doc = read_json(path)
+    try:
+        return graph_from_dict(doc)
+    except SceneCompError as e:
+        raise UnreadableInputError(f"graph file {path}: {e}") from e

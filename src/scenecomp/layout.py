@@ -50,8 +50,8 @@ def _cell_center(edges: tuple[list[float], list[float]], i: int, j: int) -> tupl
 
 def _edge_lists(frame: Frame, grid_size: int) -> tuple[list[float], list[float]]:
     # the raster's cell edges as Python floats: the same bits, cheaper to index
-    ex, ey = cell_edges(frame, grid_size)
-    return ex.tolist(), ey.tolist()
+    ex, ey = cell_edges([frame], grid_size)
+    return ex[0].tolist(), ey[0].tolist()
 
 
 def grid_to_world(frame: Frame, cell: tuple[int, int], grid_size: int) -> tuple[float, float]:

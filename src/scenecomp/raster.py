@@ -9,6 +9,11 @@ to sum to 1. All objects are rasterized in one array pass with a fixed
 summation order: each footprint is divided by the pairwise sum of its full
 S x S grid and added into its class plane in object-id order, so the
 result is bitwise that of rasterizing one object at a time.
+
+A sample's target and input share that pass (`rasterize_masked`): both use
+the frames of the full graph and the same footprints, so an input plane is
+the target's unless it holds a masked object, and only such planes are
+added up again. `rasterize` is that pass with nothing masked.
 """
 from __future__ import annotations
 
@@ -92,64 +97,111 @@ def room_frame(g: SceneGraph, room_id: int) -> Frame:
     return (lo_x, lo_y, hi_x, hi_y)
 
 
-def cell_edges(frame: Frame, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    lo_x, lo_y, hi_x, hi_y = frame
-    return (
-        np.linspace(lo_x, hi_x, grid_size + 1),
-        np.linspace(lo_y, hi_y, grid_size + 1),
-    )
+def cell_edges(frames, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y cell edges, each [n_frames, S + 1], of a sequence of frames.
+
+    Each row is bitwise np.linspace(lo, hi, S + 1) of its own frame and axis.
+    """
+    f = np.asarray(frames, dtype=float).reshape(-1, 2, 2)  # [frame, lo/hi, x/y]
+    edges, step = np.linspace(f[:, 0], f[:, 1], grid_size + 1, retstep=True)  # [S + 1, frame, x/y]
+    # np.linspace takes its zero-step branch for every row once one row needs
+    # it, so a zero-width frame gets the others computed apart
+    if not step.all():
+        flat = step == 0
+        edges[:, ~flat] = np.linspace(f[:, 0][~flat], f[:, 1][~flat], grid_size + 1)
+    return edges[..., 0].T, edges[..., 1].T
 
 
-def rasterize(
-    g: SceneGraph,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    frames_override: dict[int, Frame] | None = None,
-) -> tuple[HeatmapSet, ObjectCounts]:
-    """Rasterize every room into heatmaps and tabulate object counts.
+def _planes(n_planes: int, planes: np.ndarray, grids: np.ndarray) -> np.ndarray:
+    """[n_planes, S * S]: each plane the sum of the grids that name it in
+    `planes`, added in their order, then normalized in place to sum to 1
+    unless all zero."""
+    data = np.zeros((n_planes, grids.shape[1]))
+    for p, grid in zip(planes.tolist(), grids):
+        data[p] += grid
+    sums = data.sum(axis=1, keepdims=True)
+    np.divide(data, sums, out=data, where=sums > 0)
+    return data
 
-    Blind nodes contribute to counts but never to heatmaps. frames_override
-    pins room frames externally (needed when comparing graphs whose implied
-    child AABBs differ).
+
+def rasterize_masked(
+    g: SceneGraph, masked_ids, grid_size: int = DEFAULT_GRID_SIZE
+) -> tuple[HeatmapSet, HeatmapSet, ObjectCounts]:
+    """Rasterize g's rooms once into target and input heatmaps, and count
+    each room's objects and blind nodes per class.
+
+    The target holds every object of g; the input holds those not in
+    masked_ids, within the same frames (g's, so a room whose frame comes
+    from its objects keeps it when they are masked). An input plane is the
+    target's plane unless it holds a masked object; then it is its other
+    objects' footprints added in id order and normalized, or all zero. The
+    counts are those of the belief graph that turns each masked object into
+    a blind node. The input is the target itself when nothing is masked.
     """
     rooms = rooms_of(g)
     S = grid_size
-    frames = tuple(
-        frames_override[room.id]
-        if frames_override is not None and room.id in frames_override
-        else room_frame(g, room.id)
-        for room in rooms
-    )
+    frames = tuple(room_frame(g, room.id) for room in rooms)
     row = {room.id: ri for ri, room in enumerate(rooms)}
     kids = sorted(((row[p], g.node(c)) for p, c in g.edges if p in row), key=lambda rk: rk[1].id)
-    counts = np.zeros((len(rooms), g.catalog.n), dtype=np.int64)
+    n_classes = g.catalog.n
+    counts = np.zeros((len(rooms), n_classes), dtype=np.int64)
     for ri, kid in kids:
         counts[ri, kid.class_index] += 1
     objs = [(ri, kid) for ri, kid in kids if kid.layer == OBJECT]
-    # each room's cell edges, and each object's room row and box (x0, x1, y0, y1)
-    edges = [cell_edges(frame, S) for frame in frames]
+    # each object's room row, flat (room, class) plane, box (x0, x1, y0, y1)
+    # and its room's cell edges
     rows = np.array([ri for ri, _ in objs], dtype=np.intp)
-    ex = np.array([e[0] for e in edges]).reshape(len(rooms), S + 1)[rows]
-    ey = np.array([e[1] for e in edges]).reshape(len(rooms), S + 1)[rows]
+    planes = rows * n_classes + np.array([o.class_index for _, o in objs], dtype=np.intp)
     box = np.array(
         [(p[0] - d[0] / 2, p[0] + d[0] / 2, p[1] - d[1] / 2, p[1] + d[1] / 2)
          for p, d in ((o.position, o.dimensions) for _, o in objs)]
     ).reshape(len(objs), 4)
+    ex, ey = cell_edges(frames, S)
+    ex, ey = ex[rows], ey[rows]
     wx = np.clip(np.minimum(ex[:, 1:], box[:, 1:2]) - np.maximum(ex[:, :-1], box[:, :1]), 0.0, None)
     wy = np.clip(np.minimum(ey[:, 1:], box[:, 3:]) - np.maximum(ey[:, :-1], box[:, 2:3]), 0.0, None)
-    grids = wx[:, :, None] * wy[:, None, :]
+    grids = (wx[:, :, None] * wy[:, None, :]).reshape(len(objs), S * S)
     # the full-grid pairwise sum; objects wholly outside the frame are uniform
-    totals = grids.reshape(len(objs), S * S).sum(axis=1)
+    totals = grids.sum(axis=1)
     outside = totals <= 0.0
-    grids /= np.where(outside, 1.0, totals)[:, None, None]
+    grids /= np.where(outside, 1.0, totals)[:, None]
     grids[outside] = 1.0 / (S * S)
-    data = np.zeros((len(rooms), g.catalog.n, S, S))
-    for (ri, o), grid in zip(objs, grids):
-        data[ri, o.class_index] += grid
-    sums = data.sum(axis=(2, 3))
-    present = sums > 0
-    data[present] /= sums[present, None, None]
+    # only the planes that hold an object are built; the others stay zero
+    held, local = np.unique(planes, return_inverse=True)
+    target = _planes(held.size, local, grids)
+    masked = set(masked_ids)
+    is_masked = np.array([o.id in masked for _, o in objs], dtype=bool)
+    inp = target
+    if is_masked.any():
+        hit = np.zeros(held.size, dtype=bool)  # the planes that hold a masked object
+        hit[local[is_masked]] = True
+        keep = ~is_masked & hit[local]
+        inp = target.copy()
+        # each kept object's plane, numbered among the hit planes
+        inp[hit] = _planes(int(hit.sum()), (np.cumsum(hit) - 1)[local[keep]], grids[keep])
+    shape = (len(rooms), n_classes, S, S)
+
+    def spread(data):
+        out = np.zeros((len(rooms) * n_classes, S * S))
+        out[held] = data
+        return out.reshape(shape)
+
+    target_data = spread(target)
     room_ids = tuple(r.id for r in rooms)
     return (
-        HeatmapSet(data, room_ids, S, frames),
+        HeatmapSet(target_data, room_ids, S, frames),
+        HeatmapSet(target_data if inp is target else spread(inp), room_ids, S, frames),
         ObjectCounts(counts, room_ids),
     )
+
+
+def rasterize(
+    g: SceneGraph, grid_size: int = DEFAULT_GRID_SIZE
+) -> tuple[HeatmapSet, ObjectCounts]:
+    """Rasterize every room into heatmaps and tabulate object counts:
+    `rasterize_masked` with nothing masked.
+
+    Blind nodes contribute to counts but never to heatmaps.
+    """
+    heat, _, counts = rasterize_masked(g, (), grid_size)
+    return heat, counts

@@ -35,6 +35,7 @@ from scenecomp.ontology import Ontology, class_affinity, default_ontology
 from scenecomp.raster import rasterize, room_frame
 
 from conftest import toy_samples
+from raster_oracles import loop_rasterize
 from test_metrics import energy_oracle, wasserstein_oracle
 
 
@@ -153,7 +154,7 @@ def test_acceptance_5_data_pipeline_invariants(small_catalog, toy_template):
         edges = [e for e in g_aug.edges if e[1] not in masked_ids]
         frames = {r.id: room_frame(g_aug, r.id) for r in rooms_of(g_aug)}
         pruned = build_graph(nodes, edges, GROUND_TRUTH, small_catalog)
-        oracle, _ = rasterize(pruned, 8, frames_override=frames)
+        oracle, _ = loop_rasterize(pruned, 8, frames_override=frames)
         worst = max(worst, float(np.abs(sample.input_heatmaps.data - oracle.data).max()))
     assert worst < 1e-12
     print(

@@ -156,6 +156,52 @@ def test_predict_rejects_wrong_shape_checkpoint(tmp_path, capsys):
     assert not (tmp_path / "out" / "prediction.json").exists()
 
 
+def _first_object(d):
+    return next(n for n in d["nodes"] if n["layer"] == "object")
+
+
+def _with(key, value):
+    return lambda d: {**d, key: value}
+
+
+def _with_position(value):
+    return lambda d: _first_object(d).update(position=value) or d
+
+
+# a saved belief graph -> a malformed one that graph_from_dict refuses
+MALFORMED_GRAPHS = {
+    "not-an-object": lambda d: [1, 2],
+    "lacks-nodes": lambda d: {k: v for k, v in d.items() if k != "nodes"},
+    "lacks-kind": lambda d: {k: v for k, v in d.items() if k != "kind"},
+    "nodes-an-int": _with("nodes", 3),
+    "edges-an-object": _with("edges", {"0": 1}),
+    "node-a-list": lambda d: {**d, "nodes": [[0, "building"], *d["nodes"][1:]]},
+    "node-id-a-string": lambda d: {**d, "nodes": [{"id": "0", "layer": "building"}, *d["nodes"][1:]]},
+    "edge-a-triple": lambda d: {**d, "edges": [[*d["edges"][0], 1], *d["edges"][1:]]},
+    "edge-an-int": lambda d: {**d, "edges": [7, *d["edges"][1:]]},
+    "edge-of-floats": lambda d: {**d, "edges": [[float(v) for v in d["edges"][0]], *d["edges"][1:]]},
+    "position-of-strings": _with_position(["1.0", "2.0", "0.5"]),
+    "position-a-number": _with_position(3.0),
+    "position-of-two": _with_position([1.0, 2.0]),
+    "catalog-a-string": _with("catalog", "chair"),
+    "unknown-kind": _with("kind", "sketch"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GRAPHS))
+def test_predict_of_malformed_graph_fails_cleanly(tmp_path, capsys, case):
+    cfg = _write_config(tmp_path)
+    config = ModelConfig(n_classes=default_catalog().n, grid_size=8, hidden=8)
+    params, stats = init_params(config)
+    save_checkpoint(tmp_path / "checkpoint.json", config, params, stats, default_catalog().hash())
+    graph = _belief_graph_file(tmp_path)
+    graph.write_text(json.dumps(MALFORMED_GRAPHS[case](json.loads(graph.read_text()))))
+    assert main(["--config", str(cfg), "predict", str(graph)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: graph file {graph}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "prediction.json").exists()
+
+
 def test_predict_of_room_less_belief_graph_writes_empty_prediction(tmp_path):
     # the encoder once failed reshaping the empty target of such a graph
     cfg = _write_config(tmp_path)

@@ -34,6 +34,7 @@ from scenecomp.graphs import GROUND_TRUTH, OBJECT, build_graph, graph_to_dict, r
 from scenecomp.raster import HeatmapSet, rasterize, room_frame
 
 from conftest import simple_graph, toy_samples
+from raster_oracles import loop_rasterize
 
 
 def test_make_sample_counts_match(catalog):
@@ -78,7 +79,7 @@ def test_masking_equals_delete_and_rerasterize(catalog):
     edges = [e for e in g.edges if e[1] not in masked_ids]
     frames = {r.id: room_frame(g, r.id) for r in rooms_of(g)}
     pruned = build_graph(nodes, edges, GROUND_TRUTH, catalog)
-    oracle, _ = rasterize(pruned, 8, frames_override=frames)
+    oracle, _ = loop_rasterize(pruned, 8, frames_override=frames)
     np.testing.assert_allclose(s.input_heatmaps.data, oracle.data, atol=1e-12)
 
 
@@ -443,6 +444,8 @@ def _to_belief_graph(d):
         ("train", "sample_00000.json", _first_masked_id(lambda d: _first_room(d)["id"]), MASKED_IDS),
         ("train", "sample_00000.json", _first_masked_id(lambda d: 10**6), MASKED_IDS),
         ("train", "sample_00000.json", _to_belief_graph, "holds blind nodes"),
+        ("train", "sample_00000.json", lambda d: d["graph"].update(nodes=3), "nodes and edges must be lists"),
+        ("train", "sample_00000.json", lambda d: d.update(graph=[1, 2]), "a graph is not a JSON object"),
         (
             "train",
             "sample_00000.json",
@@ -473,6 +476,8 @@ def _to_belief_graph(d):
         "masked-id-not-an-object",
         "masked-id-not-in-graph",
         "graph-of-blind-nodes",
+        "graph-nodes-an-int",
+        "graph-not-an-object",
         "room-extent-not-finite",
     ],
 )

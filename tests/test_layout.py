@@ -17,8 +17,9 @@ from scenecomp.layout import (
     layout_to_dict,
     place_blind_nodes,
 )
-from scenecomp.raster import cell_edges
 from scenecomp.render import _class_color, layout_to_ppm
+
+from raster_oracles import frame_edges
 
 
 def test_all_zero_all_empty():
@@ -182,7 +183,7 @@ def loop_grid_to_world(frame, cell: tuple[int, int], grid_size: int) -> tuple[fl
     i, j = cell
     if not (0 <= i < grid_size and 0 <= j < grid_size):
         raise OutOfBoundsError(f"cell {cell} outside a {grid_size}x{grid_size} grid")
-    ex, ey = cell_edges(frame, grid_size)
+    ex, ey = frame_edges(frame, grid_size)
     return (float((ex[i] + ex[i + 1]) / 2), float((ey[j] + ey[j + 1]) / 2))
 
 

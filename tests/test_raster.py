@@ -1,9 +1,10 @@
 """Tests of the rasterizer.
 
-`loop_rasterize` and `object_footprint` are the rasterizer as it was before
-all objects were rasterized in one array pass: a Python loop that builds
-one S x S footprint per object. They are kept here as the oracle that the
-`..._equals_loop_oracle` tests compare `rasterize` against bit for bit.
+The `..._equals_loop_oracle` tests compare `rasterize` bit for bit against
+`raster_oracles.loop_rasterize`, the per-object loop rasterizer, and the
+`..._equals_two_pass_oracle` tests compare `build_sample`'s one pass against
+`raster_oracles.two_pass_build_sample`, which rasterizes target and input
+apart.
 """
 from dataclasses import replace
 
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 
 from scenecomp.dataset import (
+    build_sample,
     default_templates,
+    draw_masked,
     generate_synthetic_scene,
     make_sample,
     sample_from_dict,
@@ -19,104 +22,27 @@ from scenecomp.dataset import (
 )
 from scenecomp.errors import DegenerateRoomError
 from scenecomp.graphs import (
-    BLIND,
     BUILDING,
     GROUND_TRUTH,
     OBJECT,
     ROOM,
-    SceneGraph,
     SceneNode,
     augment,
     build_graph,
-    children_of,
     make_belief_graph,
     rooms_of,
 )
 from scenecomp.raster import (
-    DEFAULT_GRID_SIZE,
-    Frame,
     HeatmapSet,
-    ObjectCounts,
     cell_edges,
     rasterize,
     room_frame,
 )
 
 from conftest import simple_graph
+from raster_oracles import frame_edges, loop_rasterize, object_footprint, two_pass_build_sample
 
 PARITY_GRID_SIZES = (1, 2, 7, 8, 16, 32, 33)
-
-
-# --- the oracle: the per-object loop rasterizer -----------------------------
-
-
-def _interval_overlap(edges: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    return np.clip(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0, None)
-
-
-def object_footprint(
-    frame: Frame,
-    position: tuple[float, float, float],
-    dimensions: tuple[float, float, float],
-    grid_size: int,
-) -> np.ndarray:
-    """Single-object distribution over the room grid, summing to 1.
-
-    The AABB footprint is spread over the overlapped cells in proportion to
-    the overlap area. Objects fully outside the frame get a uniform in-room
-    footprint so that counts and heatmaps stay consistent.
-    """
-    S = grid_size
-    ex, ey = cell_edges(frame, S)
-    x0 = position[0] - dimensions[0] / 2
-    x1 = position[0] + dimensions[0] / 2
-    y0 = position[1] - dimensions[1] / 2
-    y1 = position[1] + dimensions[1] / 2
-    wx = _interval_overlap(ex, x0, x1)
-    wy = _interval_overlap(ey, y0, y1)
-    grid = np.outer(wx, wy)
-    total = grid.sum()
-    if total <= 0.0:
-        return np.full((S, S), 1.0 / (S * S))
-    return grid / total
-
-
-def loop_rasterize(
-    g: SceneGraph,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    frames_override: dict[int, Frame] | None = None,
-) -> tuple[HeatmapSet, ObjectCounts]:
-    """Rasterize every room into heatmaps and tabulate object counts.
-
-    Blind nodes contribute to counts but never to heatmaps. frames_override
-    pins room frames externally (needed when comparing graphs whose implied
-    child AABBs differ).
-    """
-    rooms = rooms_of(g)
-    n_classes = g.catalog.n
-    S = grid_size
-    data = np.zeros((len(rooms), n_classes, S, S))
-    counts = np.zeros((len(rooms), n_classes), dtype=np.int64)
-    frames = []
-    for ri, room in enumerate(rooms):
-        if frames_override is not None and room.id in frames_override:
-            frame = frames_override[room.id]
-        else:
-            frame = room_frame(g, room.id)
-        frames.append(frame)
-        for obj in children_of(g, room.id, OBJECT):
-            counts[ri, obj.class_index] += 1
-            data[ri, obj.class_index] += object_footprint(frame, obj.position, obj.dimensions, S)
-        for blind in children_of(g, room.id, BLIND):
-            counts[ri, blind.class_index] += 1
-        sums = data[ri].sum(axis=(1, 2))
-        present = sums > 0
-        data[ri, present] /= sums[present, None, None]
-    room_ids = tuple(r.id for r in rooms)
-    return (
-        HeatmapSet(data, room_ids, S, tuple(frames)),
-        ObjectCounts(counts, room_ids),
-    )
 
 
 def assert_heatmaps_identical(got: HeatmapSet, want: HeatmapSet) -> None:
@@ -320,13 +246,17 @@ def test_rasterize_equals_loop_oracle_on_special_rooms(catalog, grid_size):
     assert counts.data[1].sum() == 3 and not heat.data[1:].any()
     roomless = build_graph([SceneNode(0, BUILDING)], [], GROUND_TRUTH, catalog)
     assert_raster_identical(rasterize(roomless, grid_size), loop_rasterize(roomless, grid_size))
-    # pinned frames: room 1 shrunk so that its objects straddle it, room 3
-    # moved away from nothing, room 2 left to its stored extent
-    frames = {1: (0.5, 0.5, 3.0, 2.0), 3: (-40.0, -40.0, -30.0, -31.0)}
-    assert_raster_identical(
-        rasterize(g, grid_size, frames_override=frames),
-        loop_rasterize(g, grid_size, frames_override=frames),
-    )
+    # stored extents: room 1 shrunk so that its objects straddle it, room 3
+    # moved away from nothing, room 2 left as it is
+    extents = {1: ((1.75, 1.25, 1.5), (2.5, 1.5, 3.0)), 3: ((-35.0, -35.5, 1.5), (10.0, 9.0, 3.0))}
+    nodes = [
+        replace(n, position=extents[n.id][0], dimensions=extents[n.id][1]) if n.id in extents else n
+        for n in g.nodes
+    ]
+    pinned = build_graph(nodes, list(g.edges), g.kind, catalog)
+    assert room_frame(pinned, 1) == (0.5, 0.5, 3.0, 2.0)
+    assert room_frame(pinned, 3) == (-40.0, -40.0, -30.0, -31.0)
+    assert_raster_identical(rasterize(pinned, grid_size), loop_rasterize(pinned, grid_size))
 
 
 def test_rasterize_refuses_extentless_blind_room_like_oracle(catalog):
@@ -350,3 +280,119 @@ def test_sample_rasters_equal_loop_oracle(catalog, grid_size):
         for read in (s, sample_from_dict(sample_to_dict(s), grid_size)):
             assert_heatmaps_identical(read.target_heatmaps, target)
             assert_raster_identical((read.input_heatmaps, read.counts), (heat, counts))
+
+
+# --- cell edges -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("grid_size", PARITY_GRID_SIZES)
+def test_cell_edges_equal_per_frame_linspace(catalog, grid_size):
+    scenes = [generate_synthetic_scene(default_templates(), 4, seed, catalog) for seed in range(6)]
+    frames = [room_frame(g, r.id) for g in scenes for r in rooms_of(g)]
+    frames += [
+        (-7.25, -1e3, -0.1, 3.3),
+        (-1e15, 2.5e14, 3e15, 2.5e14 + 1.0),
+        (1e300, -4e307, 1.5e300, 4e307),
+        (0.1, 0.2, 0.1 + 1e-12, 0.3),
+    ]
+    for rows in (frames, frames + [(1e17, 0.0, 1e17, 1.0)]):  # with a zero-width frame
+        ex, ey = cell_edges(rows, grid_size)
+        assert ex.shape == ey.shape == (len(rows), grid_size + 1)
+        for frame, x, y in zip(rows, ex, ey):
+            want_x, want_y = frame_edges(frame, grid_size)
+            assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
+    ex, ey = cell_edges([], grid_size)
+    assert ex.shape == ey.shape == (0, grid_size + 1)
+
+
+# --- one-pass sample build against the two-pass oracle ----------------------
+
+
+def assert_samples_identical(got, want) -> None:
+    assert_raster_identical((got.input_heatmaps, got.counts), (want.input_heatmaps, want.counts))
+    assert_heatmaps_identical(got.target_heatmaps, want.target_heatmaps)
+    assert got.masked == want.masked
+    assert got.graph.nodes == want.graph.nodes and got.graph.edges == want.graph.edges
+    assert (got.graph.kind, got.truth) == (want.graph.kind, want.truth)
+
+
+def assert_input_shares_target_planes(s) -> None:
+    # an input plane is the target's, bitwise, unless it holds a masked object
+    rows = {room_id: ri for ri, room_id in enumerate(s.target_heatmaps.room_ids)}
+    hit = {(rows[room_id], ci) for room_id, ci, _ in s.masked}
+    for ri, ci in np.ndindex(s.counts.data.shape):
+        if (ri, ci) not in hit:
+            got, want = s.input_heatmaps.data[ri, ci], s.target_heatmaps.data[ri, ci]
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grid_size", PARITY_GRID_SIZES)
+def test_build_sample_equals_two_pass_oracle(catalog, grid_size):
+    graphs = [
+        augment(generate_synthetic_scene(default_templates(), 1 + seed % 4, seed, catalog), 0.25, seed)
+        for seed in range(6)
+    ] + [_pushed_scene(catalog, 20 + seed) for seed in range(3)]
+    for k, g in enumerate(graphs):
+        for fraction in (0.25, 0.6, 1.0):
+            ids = draw_masked(g, fraction, seed=k)
+            s = build_sample(g, ids, grid_size)
+            assert_samples_identical(s, two_pass_build_sample(g, ids, grid_size))
+            assert_input_shares_target_planes(s)
+
+
+def _masking_cases_graph(catalog):
+    """Room 1 stores no extent: its frame is its objects' box, which masking
+    objects 10 and 13 would shrink. Room 2 stores one; objects 20 and 21 lie
+    wholly outside it. Room 3 stores one and holds no object."""
+    chair, lamp, plant, sofa = (catalog.index(c) for c in ("chair", "lamp", "plant", "sofa"))
+    nodes = [
+        SceneNode(0, BUILDING),
+        SceneNode(1, ROOM),
+        SceneNode(2, ROOM, position=(14.0, 3.0, 1.5), dimensions=(6.0, 6.0, 3.0)),
+        SceneNode(3, ROOM, position=(24.0, 3.0, 1.5), dimensions=(5.0, 4.0, 3.0)),
+        SceneNode(10, OBJECT, chair, (1.0, 1.0, 0.5), (2.0, 2.0, 1.0)),
+        SceneNode(11, OBJECT, chair, (5.3, 3.1, 0.5), (1.7, 2.2, 1.0)),
+        SceneNode(12, OBJECT, plant, (2.9, 2.2, 0.5), (0.3, 0.7, 1.0)),
+        SceneNode(13, OBJECT, lamp, (8.0, 6.5, 0.5), (1.0, 1.0, 1.0)),
+        SceneNode(20, OBJECT, sofa, (50.0, 50.0, 0.5), (1.0, 1.0, 1.0)),
+        SceneNode(21, OBJECT, sofa, (-30.0, 2.0, 0.5), (2.0, 0.9, 1.0)),
+        SceneNode(22, OBJECT, sofa, (13.0, 2.5, 0.5), (2.0, 0.9, 1.0)),
+        SceneNode(23, OBJECT, plant, (40.0, 3.0, 0.5), (0.4, 0.4, 1.0)),
+    ]
+    edges = [(0, 1), (0, 2), (0, 3), (1, 13), (1, 12), (1, 11), (1, 10), (2, 23), (2, 22), (2, 21), (2, 20)]
+    return build_graph(nodes, edges, GROUND_TRUTH, catalog)
+
+
+MASKING_CASES = {
+    # room 1's lamp plane all masked, its chair plane mixed, and its box shrunk
+    "all-masked-and-mixed-planes": (10, 13),
+    # a masked sofa and an unmasked one both wholly outside room 2
+    "outside-frame": (20,),
+    "outside-frame-alone": (23,),
+    "every-object": (10, 11, 12, 13, 20, 21, 22, 23),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MASKING_CASES))
+@pytest.mark.parametrize("grid_size", PARITY_GRID_SIZES)
+def test_build_sample_equals_two_pass_oracle_on_masking_cases(catalog, grid_size, case):
+    g = _masking_cases_graph(catalog)
+    ids = MASKING_CASES[case]
+    s = build_sample(g, ids, grid_size)
+    assert_samples_identical(s, two_pass_build_sample(g, ids, grid_size))
+    assert_input_shares_target_planes(s)
+    rows = {room_id: ri for ri, room_id in enumerate(s.target_heatmaps.room_ids)}
+    # room 1 keeps the box of all its objects, masked ones included
+    assert s.input_heatmaps.room_frames[rows[1]] == room_frame(g, 1) == (0.0, 0.0, 8.5, 7.0)
+    assert not s.target_heatmaps.data[rows[3]].any()  # the empty room
+    for room_id, ci, _ in s.masked:
+        kept = [c for p, c in g.edges if p == room_id and c not in ids and g.node(c).class_index == ci]
+        plane = s.input_heatmaps.data[rows[room_id], ci]
+        assert plane.sum() == (pytest.approx(1.0) if kept else 0.0)
+
+
+def test_build_sample_without_masked_ids_shares_target(catalog):
+    g = _masking_cases_graph(catalog)
+    s = build_sample(g, (), 8)
+    assert s.input_heatmaps.data.tobytes() == s.target_heatmaps.data.tobytes()
+    assert_samples_identical(s, two_pass_build_sample(g, (), 8))
