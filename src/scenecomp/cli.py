@@ -39,7 +39,9 @@ from .errors import (
     MissingArtifactError,
     SceneCompError,
     UnreadableInputError,
+    is_json_int,
     read_json,
+    read_json_object,
 )
 from .graphs import BELIEF, BLIND, augment, children_of, load_graph
 from .layout import (
@@ -172,13 +174,6 @@ def _require(path, what: str) -> Path:
     return p
 
 
-def _read_object(path) -> dict:
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise UnreadableInputError(f"{path} holds a JSON {type(doc).__name__}, not an object")
-    return doc
-
-
 def _prediction_heatmaps(doc: dict, path, grid_size: int) -> HeatmapSet:
     """The heatmaps of the prediction document read from path.
 
@@ -222,7 +217,7 @@ def _blind_counts(doc: dict, heat: HeatmapSet, path) -> dict:
     ok = isinstance(blind, dict) and all(
         room in rooms
         and isinstance(per_class, dict)
-        and all(ci in classes and type(n) is int and 0 <= n <= cells for ci, n in per_class.items())
+        and all(ci in classes and is_json_int(n) and 0 <= n <= cells for ci, n in per_class.items())
         for room, per_class in blind.items()
     )
     if not ok:
@@ -237,8 +232,6 @@ def _blind_counts(doc: dict, heat: HeatmapSet, path) -> dict:
 
 
 def cmd_generate(cfg: RunConfig) -> None:
-    if cfg.n_scenes <= 0:
-        raise SceneCompError("n_scenes must be positive")
     catalog = default_catalog()
     templates = default_templates()
     # a sample file is the augmented graph and its masked ids: nothing is rasterized here
@@ -279,16 +272,17 @@ def _model_config(cfg: RunConfig) -> ModelConfig:
     )
 
 
-def _affinity(cfg: RunConfig):
-    if cfg.variant != BASE_ONT:
-        return None
-    catalog = default_catalog()
+def _ontology(cfg: RunConfig):
+    """The configured ontology file's ontology, else the shipped one, of the catalog's classes."""
     if cfg.ontology_file:
-        onto = load_ontology(_require(cfg.ontology_file, "ontology file"), catalog)
-    else:
-        onto = default_ontology()
-        onto.check_catalog(catalog)
-    return class_affinity(onto)
+        return load_ontology(_require(cfg.ontology_file, "ontology file"), default_catalog())
+    onto = default_ontology()
+    onto.check_catalog(default_catalog())
+    return onto
+
+
+def _affinity(cfg: RunConfig):
+    return class_affinity(_ontology(cfg)) if cfg.variant == BASE_ONT else None
 
 
 def cmd_train(cfg: RunConfig) -> None:
@@ -383,7 +377,7 @@ def cmd_predict(cfg: RunConfig, graph_path) -> None:
 
 def cmd_layout(cfg: RunConfig, prediction_path) -> None:
     path = _require(prediction_path, "prediction file")
-    doc = _read_object(path)
+    doc = read_json_object(path)
     _check_stamp(doc, cfg, "prediction file")
     heat = _prediction_heatmaps(doc, path, cfg.grid_size)
     blind = _blind_counts(doc, heat, path)
@@ -405,7 +399,7 @@ def cmd_layout(cfg: RunConfig, prediction_path) -> None:
 
 def cmd_render(cfg: RunConfig, input_path) -> None:
     path = _require(input_path, "render input")
-    doc = _read_object(path)
+    doc = read_json_object(path)
     out_dir = Path(cfg.output_dir)
     catalog = default_catalog()
     if "heatmaps" in doc:
@@ -435,14 +429,8 @@ def cmd_render(cfg: RunConfig, input_path) -> None:
 
 
 def cmd_ontology(cfg: RunConfig, action: str, endpoint_config) -> None:
-    catalog = default_catalog()
     if action == "validate":
-        onto = (
-            load_ontology(_require(cfg.ontology_file, "ontology file"), catalog)
-            if cfg.ontology_file
-            else default_ontology()
-        )
-        onto.check_catalog(catalog)
+        onto = _ontology(cfg)
         aff = class_affinity(onto)
         print(
             f"ontology ok: {len(onto.room_concepts)} room concepts x "
@@ -454,7 +442,7 @@ def cmd_ontology(cfg: RunConfig, action: str, endpoint_config) -> None:
         if not endpoint_config:
             raise MissingArtifactError("ontology build needs --endpoint-config")
         ep = EndpointConfig.from_file(_require(endpoint_config, "endpoint config"))
-        onto = query_llm_ontology(ep, default_ontology().room_concepts, catalog)
+        onto = query_llm_ontology(ep, default_ontology().room_concepts, default_catalog())
         out = cfg.ontology_file or str(Path(cfg.output_dir) / "ontology.csv")
         Path(out).parent.mkdir(parents=True, exist_ok=True)
         save_ontology(onto, out)

@@ -25,7 +25,9 @@ from .errors import (
     NoTruthGraphError,
     SceneCompError,
     UnreadableInputError,
-    read_json,
+    is_json_int,
+    is_json_number,
+    read_json_object,
 )
 from .graphs import (
     BELIEF,
@@ -451,12 +453,11 @@ def heatmaps_from_dict(d: dict) -> HeatmapSet:
         raw = base64.b64decode(d["data_b64"])
     except (TypeError, ValueError) as e:  # binascii.Error is a ValueError
         raise UnreadableInputError(f"unreadable heatmaps: {e}") from e
-    # an exact type test: bool is a subclass of int
-    if not all(type(r) is int for r in room_ids) or len(set(room_ids)) != len(room_ids):
+    if not all(map(is_json_int, room_ids)) or len(set(room_ids)) != len(room_ids):
         raise UnreadableInputError(f"heatmap room ids {list(room_ids)} are not distinct ints")
     if not all(
         len(f) == 4
-        and all(type(v) in (int, float) and math.isfinite(v) for v in f)
+        and all(is_json_number(v) and math.isfinite(v) for v in f)
         and f[0] < f[2] and f[1] < f[3]
         for f in room_frames
     ):
@@ -478,7 +479,7 @@ def heatmaps_from_dict(d: dict) -> HeatmapSet:
     n_planes = shape[0] * shape[1]
     if not (
         isinstance(planes, list)
-        and all(type(p) is int for p in planes)
+        and all(map(is_json_int, planes))
         and planes == sorted(set(planes))
         and all(0 <= p < n_planes for p in planes)
     ):
@@ -528,11 +529,10 @@ def sample_from_dict(d: dict, grid_size: int) -> BsgSample:
     if graph.nodes_in_layer(BLIND):
         raise UnreadableInputError("the sample's graph holds blind nodes; it must be the unmasked graph")
     objects = {n.id for n in graph.nodes_in_layer(OBJECT)}
-    # an exact type test: bool is a subclass of int
     if not (
         isinstance(masked_ids, list)
         and masked_ids
-        and all(type(i) is int and i in objects for i in masked_ids)
+        and all(is_json_int(i) and i in objects for i in masked_ids)
         and len(set(masked_ids)) == len(masked_ids)
     ):
         raise UnreadableInputError("masked_ids must list one or more distinct object node ids")
@@ -564,9 +564,7 @@ def save_dataset(samples, splits, out_dir, grid_size: int, catalog: ClassCatalog
         json.dump(manifest, f, indent=1, sort_keys=True)
 
 
-def _check_version(doc, what: str) -> None:
-    if not isinstance(doc, dict):
-        raise UnreadableInputError(f"{what} does not hold a JSON object")
+def _check_version(doc: dict, what: str) -> None:
     if doc.get("version") != FORMAT_VERSION:
         raise ConfigMismatchError(
             f"{what} has format version {doc.get('version')!r}; only version "
@@ -576,7 +574,7 @@ def _check_version(doc, what: str) -> None:
 
 def _load_sample(path: Path, grid_size, catalog_hash) -> BsgSample:
     """The sample in path built at its manifest's grid size, checked against its catalog."""
-    doc = read_json(path)
+    doc = read_json_object(path)
     _check_version(doc, f"dataset sample {path}")
     try:
         s = sample_from_dict(doc, grid_size)
@@ -609,15 +607,14 @@ def load_dataset(in_dir, splits=None, grid_size=None):
     """
     in_dir = Path(in_dir)
     path = in_dir / "manifest.json"
-    manifest = read_json(path)
+    manifest = read_json_object(path)
     _check_version(manifest, f"dataset manifest {path}")
     try:
         size, catalog_hash = manifest["grid_size"], manifest["catalog_hash"]
         listed = manifest["splits"].items()
     except (AttributeError, KeyError, TypeError) as e:
         raise UnreadableInputError(f"unreadable dataset manifest {path}: {e!r}") from e
-    # an exact type test: bool is a subclass of int
-    if type(size) is not int or size <= 0:
+    if not is_json_int(size) or size <= 0:
         raise UnreadableInputError(f"dataset manifest {path}: grid size {size!r} is not a positive int")
     if grid_size is not None and size != grid_size:
         raise ConfigMismatchError(f"dataset grid size {size} != configured {grid_size}")

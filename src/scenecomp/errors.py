@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and `read_json`, which turns a
-malformed JSON file into one of them."""
+"""Exception types shared across the package; the JSON file readers, which
+turn a malformed file into one of them; and the JSON value type tests."""
 
 import json
 
@@ -121,3 +121,21 @@ def read_json(path):
             return json.load(f)
         except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
             raise UnreadableInputError(f"unreadable JSON file {path}: {e}") from e
+
+
+def read_json_object(path) -> dict:
+    """The JSON object in the file at path; another document raises UnreadableInputError."""
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise UnreadableInputError(f"{path} holds a JSON {type(doc).__name__}, not an object")
+    return doc
+
+
+def is_json_int(v) -> bool:
+    """Whether v is an int and not a bool, which is a subclass of int."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_json_number(v) -> bool:
+    """Whether v is an int or a float and not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)

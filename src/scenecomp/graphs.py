@@ -22,6 +22,8 @@ from .errors import (
     UnknownClassError,
     UnknownRoomError,
     UnreadableInputError,
+    is_json_int,
+    is_json_number,
     read_json,
 )
 
@@ -251,15 +253,11 @@ def graph_to_dict(g: SceneGraph) -> dict:
 _GRAPH_KEYS = ("catalog", "nodes", "edges", "kind")
 
 
-def _is_int(v) -> bool:
-    return type(v) is int  # an exact type test: bool is a subclass of int
-
-
 def _coords(nd: dict, key: str) -> tuple[float, ...] | None:
     v = nd.get(key)
     if v is None:
         return None
-    if not (isinstance(v, list) and len(v) == 3 and all(type(x) in (int, float) for x in v)):
+    if not (isinstance(v, list) and len(v) == 3 and all(map(is_json_number, v))):
         raise UnreadableInputError(f"graph node {nd['id']}: {key} {v!r} is not a list of 3 numbers")
     return tuple(float(x) for x in v)
 
@@ -293,7 +291,7 @@ def graph_from_dict(d) -> SceneGraph:
     catalog = ClassCatalog(tuple(labels))
     out = []
     for nd in nodes:
-        if not (isinstance(nd, dict) and _is_int(nd.get("id")) and isinstance(nd.get("layer"), str)):
+        if not (isinstance(nd, dict) and is_json_int(nd.get("id")) and isinstance(nd.get("layer"), str)):
             raise UnreadableInputError(f"graph node {nd!r} is not an object with an int id and a layer")
         cls = nd.get("class")
         out.append(
@@ -305,7 +303,7 @@ def graph_from_dict(d) -> SceneGraph:
                 dimensions=_coords(nd, "dimensions"),
             )
         )
-    if not all(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges):
+    if not all(isinstance(e, list) and len(e) == 2 and all(map(is_json_int, e)) for e in edges):
         raise UnreadableInputError("each graph edge must be a pair of int node ids")
     return build_graph(out, [tuple(e) for e in edges], kind, catalog)
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfBoundsError, UnreadableInputError
+from .errors import OutOfBoundsError, UnreadableInputError, is_json_int, is_json_number
 from .raster import Frame, cell_edges
 
 EMPTY = -1
@@ -131,9 +131,8 @@ def _unrle(runs, s: int) -> np.ndarray:
         raise UnreadableInputError("layout cells are not a list of runs")
     values, lengths = [], []
     for r in runs:
-        # an exact type test: bool is a subclass of int
         if not (
-            type(r) is list and len(r) == 2 and type(r[0]) is int and type(r[1]) is int
+            type(r) is list and len(r) == 2 and is_json_int(r[0]) and is_json_int(r[1])
             and r[0] >= EMPTY and r[1] > 0
         ):
             raise UnreadableInputError(
@@ -172,14 +171,6 @@ def layout_to_dict(
 _LAYOUT_KEYS = ("room_id", "S", "threshold", "cells", "placements")
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _is_pair(v, test) -> bool:
     return isinstance(v, list) and len(v) == 2 and all(test(e) for e in v)
 
@@ -200,9 +191,9 @@ def layout_from_dict(d: dict, n_classes: int):
     if missing:
         raise UnreadableInputError(f"layout room lacks the keys {missing}")
     s = d["S"]
-    if not _is_int(s) or s <= 0:
+    if not is_json_int(s) or s <= 0:
         raise UnreadableInputError(f"layout grid size {s!r} is not a positive int")
-    if not _is_int(d["room_id"]) or not _is_number(d["threshold"]):
+    if not is_json_int(d["room_id"]) or not is_json_number(d["threshold"]):
         raise UnreadableInputError("layout room_id must be an int and threshold a number")
     bad_cells = f"layout cells must be {EMPTY} (empty) or class indices below {n_classes}"
     try:
@@ -217,9 +208,9 @@ def layout_from_dict(d: dict, n_classes: int):
     for i, p in enumerate(placements):
         if not (
             isinstance(p, dict)
-            and _is_int(p.get("class")) and 0 <= p["class"] < n_classes
-            and _is_pair(p.get("cell"), lambda c: _is_int(c) and 0 <= c < s)
-            and _is_pair(p.get("xy"), _is_number)
+            and is_json_int(p.get("class")) and 0 <= p["class"] < n_classes
+            and _is_pair(p.get("cell"), lambda c: is_json_int(c) and 0 <= c < s)
+            and _is_pair(p.get("xy"), is_json_number)
             and isinstance(p.get("low_support", False), bool)
         ):
             raise UnreadableInputError(

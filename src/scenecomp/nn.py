@@ -303,9 +303,8 @@ class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: int = 0
-    # two block-sized work arrays shared by every parameter, so a step
-    # allocates nothing; adam_step creates them when missing
-    scratch: tuple = ()
+    # block-sized work arrays shared by every parameter: a step allocates nothing
+    scratch: tuple = field(default_factory=lambda: (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)))
 
 
 def _flat(a: np.ndarray, what: str) -> np.ndarray:
@@ -338,8 +337,6 @@ def adam_step(
     state.t += 1
     t = state.t
     lr_t = lr / (1.0 + decay * t)
-    if not state.scratch:  # a new state, or one read from a checkpoint
-        state.scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
     for name, g in grads.items():
         if name not in state.m:
             state.m[name] = np.zeros(g.shape)
@@ -449,15 +446,14 @@ def save_checkpoint(
     params: dict,
     stats: dict,
     catalog_hash: str,
-    adam: AdamState | None = None,
     extra: dict | None = None,
 ) -> None:
     """Write an uncompressed zip to exactly `path`, whatever its extension.
 
-    It holds `meta.json` (version, config, catalog hash, Adam step, extra)
-    and one `.npy` member per array: `params/<name>`, `stats/<name>` and,
-    with `adam`, `adam/m/<name>` and `adam/v/<name>`. The bytes depend only
-    on the arguments; `np.load(path, allow_pickle=False)` opens the file.
+    It holds `meta.json` (version, config, catalog hash, extra) and one
+    `.npy` member per array, `params/<name>` and `stats/<name>`: no optimizer
+    state. The bytes depend only on the arguments; `np.load(path,
+    allow_pickle=False)` opens the file.
     """
     meta = {
         "version": CHECKPOINT_VERSION,
@@ -465,9 +461,6 @@ def save_checkpoint(
         "catalog_hash": catalog_hash,
     }
     sections = {"params": params, "stats": stats}
-    if adam is not None:
-        meta["adam_t"] = adam.t
-        sections.update({"adam/m": adam.m, "adam/v": adam.v})
     if extra:
         meta["extra"] = extra
     with zipfile.ZipFile(path, "w") as zf:
@@ -548,31 +541,24 @@ def load_checkpoint(path, raw: bytes | None = None):
     """Read a checkpoint written by `save_checkpoint`, from raw if given (the
     file's bytes, already read; path then only names it) or else from path.
 
-    Every parameter, batch-norm stat and Adam moment must carry exactly the
-    names and shapes that the stored config gives (`param_shapes`); anything
-    else raises ConfigMismatchError, as does another format version. A file
-    that is not a readable checkpoint raises UnreadableInputError. Returns
-    (config, params, stats, catalog_hash, adam state or None, extra).
+    Every parameter and batch-norm stat must carry exactly the names and
+    shapes that the stored config gives (`param_shapes`); anything else, and
+    another format version, raise ConfigMismatchError. A file that is not a
+    readable checkpoint raises UnreadableInputError. Returns (config, params,
+    stats, catalog_hash, None, extra): the 5th element, once optimizer state,
+    is kept so that callers that unpack six values still work.
     """
     with (open(path, "rb") if raw is None else io.BytesIO(raw)) as f:
         meta, sections = _read_checkpoint(path, f)
     try:
         config = ModelConfig(**meta["config"])
-        catalog_hash, adam_t, extra = meta["catalog_hash"], meta.get("adam_t"), meta.get("extra")
+        catalog_hash, extra = meta["catalog_hash"], meta.get("extra")
     except (KeyError, TypeError) as e:
         raise UnreadableInputError(f"unreadable checkpoint {path}: bad meta {e}") from e
-    shapes, stat_shapes = param_shapes(config)
-    expected = {"params": shapes, "stats": stat_shapes}
-    if adam_t is not None:
-        expected.update({"adam/m": shapes, "adam/v": shapes})
-    unexpected = sorted(set(sections) - set(expected))
+    unexpected = sorted(set(sections) - {"params", "stats"})
     if unexpected:
         raise ConfigMismatchError(f"checkpoint has unexpected sections {unexpected}")
-    checked = {
-        section: _checked_arrays(section, sections.get(section, {}), section_shapes)
-        for section, section_shapes in expected.items()
-    }
-    adam = None
-    if adam_t is not None:
-        adam = AdamState(m=checked["adam/m"], v=checked["adam/v"], t=adam_t)
-    return config, checked["params"], checked["stats"], catalog_hash, adam, extra
+    shapes, stat_shapes = param_shapes(config)
+    params = _checked_arrays("params", sections.get("params", {}), shapes)
+    stats = _checked_arrays("stats", sections.get("stats", {}), stat_shapes)
+    return config, params, stats, catalog_hash, None, extra

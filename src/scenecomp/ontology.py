@@ -15,7 +15,7 @@ import logging
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -28,7 +28,10 @@ from .errors import (
     NonNumericCellError,
     OntologyParseError,
     OutOfRangeError,
-    read_json,
+    UnreadableInputError,
+    is_json_int,
+    is_json_number,
+    read_json_object,
 )
 
 logger = logging.getLogger(__name__)
@@ -89,30 +92,34 @@ def save_ontology(o: Ontology, path) -> None:
 
 
 def load_ontology(path, catalog: ClassCatalog | None = None) -> Ontology:
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or len(rows[0]) < 2:
-        raise OntologyParseError(f"not an ontology CSV: {path}")
-    classes = tuple(rows[0][1:])
-    rooms = []
-    values = []
-    for row in rows[1:]:
-        if not row:
-            continue
-        rooms.append(row[0])
-        parsed = []
-        for cell in row[1:]:
+    """The ontology in the CSV file at path: a header of `room_concept` and the
+    classes, then one row of values in [0, 1] per room concept. Another layout,
+    or a file that is not UTF-8, raises OntologyParseError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            reader = csv.reader(f)
+            rows = [(reader.line_num, row) for row in reader if row]
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise OntologyParseError(f"unreadable ontology CSV {path}: {e}") from e
+    if len(rows) < 2 or len(rows[0][1]) < 2:
+        raise OntologyParseError(f"not an ontology CSV of a header and room concept rows: {path}")
+    classes = tuple(rows[0][1][1:])
+    rooms, values = [], []
+    for line, (room, *cells) in rows[1:]:
+        if len(cells) != len(classes):
+            raise OntologyParseError(
+                f"ontology CSV {path}, line {line}: room concept {room!r} needs one value per "
+                f"class ({len(classes)}), not {len(cells)}"
+            )
+        rooms.append(room)
+        for cell in cells:
             try:
-                v = float(cell)
+                values.append(float(cell))
             except ValueError:
-                raise NonNumericCellError(
-                    f"non-numeric ontology cell {cell!r} in row {row[0]!r}"
-                ) from None
-            if not 0.0 <= v <= 1.0:
-                raise OutOfRangeError(f"ontology entry {v} outside [0, 1]")
-            parsed.append(v)
-        values.append(parsed)
-    o = Ontology(tuple(rooms), classes, np.array(values, dtype=np.float64))
+                raise NonNumericCellError(f"non-numeric ontology cell {cell!r} in row {room!r}") from None
+            if not 0.0 <= values[-1] <= 1.0:
+                raise OutOfRangeError(f"ontology entry {values[-1]} outside [0, 1]")
+    o = Ontology(tuple(rooms), classes, np.array(values).reshape(len(rooms), len(classes)))
     if catalog is not None:
         o.check_catalog(catalog)
     return o
@@ -145,15 +152,27 @@ class EndpointConfig:
 
     @staticmethod
     def from_file(path) -> "EndpointConfig":
-        d = read_json(path)
-        return EndpointConfig(
-            base_url=d["base_url"],
-            model=d["model"],
-            temperature=float(d.get("temperature", 0.0)),
-            prompt_template=d.get("prompt_template", DEFAULT_PROMPT_TEMPLATE),
-            max_retries=int(d.get("max_retries", 3)),
-            api_key=d.get("api_key"),
-        )
+        """The config in the JSON file at path; a key of another type, or a prompt_template
+        that does not format room and classes, raises UnreadableInputError naming the file."""
+        d = read_json_object(path)
+        v = {f.name: d.get(f.name, f.default) for f in fields(EndpointConfig)}
+        for key, ok, what in (
+            ("base_url", isinstance(v["base_url"], str), "a string"),
+            ("model", isinstance(v["model"], str), "a string"),
+            ("temperature", is_json_number(v["temperature"]), "a number"),
+            ("prompt_template", isinstance(v["prompt_template"], str), "a string"),
+            ("max_retries", is_json_int(v["max_retries"]), "an int"),
+            ("api_key", isinstance(v["api_key"], (str, type(None))), "a string or null"),
+        ):
+            if not ok:
+                raise UnreadableInputError(f"endpoint config {path}: {key} must be {what}")
+        try:
+            v["prompt_template"].format(room="", classes="")
+        except (AttributeError, IndexError, KeyError, ValueError) as e:
+            raise UnreadableInputError(
+                f"endpoint config {path}: prompt_template does not format with room and classes: {e!r}"
+            ) from e
+        return EndpointConfig(**{**v, "temperature": float(v["temperature"])})
 
 
 def cache_dir_from_env(default="ontology_cache") -> Path:

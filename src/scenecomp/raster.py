@@ -77,13 +77,15 @@ def room_frame(g: SceneGraph, room_id: int) -> Frame:
     """The room's bounding rectangle on the (x, y) plane.
 
     Uses the stored room extent when present, otherwise the AABB of the
-    room's object children. A stored extent whose frame is not finite raises
-    DegenerateRoomError.
+    room's object children. A stored extent whose frame is not finite or has
+    no area (width 1 at x = 1e17 rounds to 0) raises DegenerateRoomError.
     """
     frame = stored_frame(g.node(room_id))
     if frame is not None:
         if not all(map(math.isfinite, frame)):
             raise DegenerateRoomError(f"room {room_id} has a non-finite extent {list(frame)}")
+        if not (frame[0] < frame[2] and frame[1] < frame[3]):
+            raise DegenerateRoomError(f"room {room_id} has an extent {list(frame)} of zero area")
         return frame
     objs = children_of(g, room_id, OBJECT)
     if not objs:

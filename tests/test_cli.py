@@ -202,6 +202,24 @@ def test_predict_of_malformed_graph_fails_cleanly(tmp_path, capsys, case):
     assert not (tmp_path / "out" / "prediction.json").exists()
 
 
+def test_predict_of_room_whose_frame_rounds_to_no_width_fails_cleanly(tmp_path, capsys):
+    # x = 1e17 with width 1 gives the frame lo_x == hi_x == 1e17, which
+    # `layout` would refuse in the prediction
+    cfg = _write_config(tmp_path)
+    config = ModelConfig(n_classes=default_catalog().n, grid_size=8, hidden=8)
+    save_checkpoint(tmp_path / "checkpoint.json", config, *init_params(config), default_catalog().hash())
+    graph = _belief_graph_file(tmp_path)
+    d = json.loads(graph.read_text())
+    next(n for n in d["nodes"] if n["layer"] == "room").update(
+        position=[1e17, 0.0, 1.5], dimensions=[1.0, 4.0, 3.0]
+    )
+    graph.write_text(json.dumps(d))
+    assert main(["--config", str(cfg), "predict", str(graph)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "of zero area" in err and err.count("\n") == 1
+    assert not (tmp_path / "out" / "prediction.json").exists()
+
+
 def test_predict_of_room_less_belief_graph_writes_empty_prediction(tmp_path):
     # the encoder once failed reshaping the empty target of such a graph
     cfg = _write_config(tmp_path)
@@ -692,6 +710,56 @@ def test_ontology_validate_default(capsys):
 def test_ontology_build_requires_endpoint(capsys):
     assert main(["ontology", "build"]) == 1
     assert "endpoint-config" in capsys.readouterr().err
+
+
+# an ontology CSV -> the start of the error that `ontology validate` gives
+MALFORMED_ONTOLOGIES = {
+    "ragged-row": (b"room_concept,a,b\nr1,1,0\nr2,1\n", "ontology CSV {path}, line 3: room concept 'r2' needs"),
+    "header-only": (b"room_concept,a,b\n", "not an ontology CSV of a header and room concept rows: {path}"),
+    "not-utf-8": (b"room_concept,a\n\xff,1\n", "unreadable ontology CSV {path}: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ONTOLOGIES))
+def test_ontology_validate_of_malformed_csv_fails_cleanly(tmp_path, capsys, case):
+    data, message = MALFORMED_ONTOLOGIES[case]
+    path = tmp_path / "ontology.csv"
+    path.write_bytes(data)
+    cfg = _write_config(tmp_path, ontology_file=str(path))
+    assert main(["--config", str(cfg), "ontology", "validate"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(path=path)) and err.count("\n") == 1
+
+
+# a valid endpoint config -> (a malformed one, what its error names)
+MALFORMED_ENDPOINTS = {
+    "not-an-object": (lambda d: list(d.values()), "holds a JSON list, not an object"),
+    "lacks-base-url": (lambda d: {"model": d["model"]}, "base_url must be a string"),
+    "model-a-number": (_with("model", 3), "model must be a string"),
+    "temperature-a-word": (_with("temperature", "hot"), "temperature must be a number"),
+    "max-retries-a-float": (_with("max_retries", 2.0), "max_retries must be an int"),
+    "max-retries-a-bool": (_with("max_retries", True), "max_retries must be an int"),
+    "template-a-list": (_with("prompt_template", ["{room}"]), "prompt_template must be a string"),
+    "api-key-a-number": (_with("api_key", 5), "api_key must be a string or null"),
+    "template-of-unknown-field": (_with("prompt_template", "{foo} {room}"), "prompt_template does not format"),
+    "template-unclosed": (_with("prompt_template", "in a {room"), "prompt_template does not format"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ENDPOINTS))
+def test_ontology_build_of_malformed_endpoint_config_fails_cleanly(tmp_path, capsys, monkeypatch, case):
+    def no_request(*args):
+        raise AssertionError("the endpoint was called")
+
+    monkeypatch.setattr("scenecomp.ontology._call_endpoint", no_request)
+    edit, message = MALFORMED_ENDPOINTS[case]
+    path = tmp_path / "endpoint.json"
+    path.write_text(json.dumps(edit({"base_url": "http://127.0.0.1:9/v1", "model": "m"})))
+    cfg = _write_config(tmp_path)
+    assert main(["--config", str(cfg), "ontology", "build", "--endpoint-config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and message in err and err.count("\n") == 1
+    assert not (tmp_path / "out" / "ontology.csv").exists()
 
 
 # --- golden-byte rendering ------------------------------------------------

@@ -452,6 +452,12 @@ def _to_belief_graph(d):
             lambda d: _first_room(d)["dimensions"].__setitem__(0, float("inf")),
             "has a non-finite extent",
         ),
+        (
+            "train",
+            "sample_00000.json",
+            lambda d: _first_room(d).update(position=[1e17, 0.0, 1.5], dimensions=[1.0, 4.0, 3.0]),
+            "of zero area",
+        ),
     ],
     ids=[
         "manifest-without-splits",
@@ -479,6 +485,7 @@ def _to_belief_graph(d):
         "graph-nodes-an-int",
         "graph-not-an-object",
         "room-extent-not-finite",
+        "room-extent-of-no-width",
     ],
 )
 def test_malformed_dataset_fails_cleanly(tmp_path, capsys, command, file, change, message):

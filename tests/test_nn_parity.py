@@ -518,32 +518,6 @@ def test_adam_bitwise_equals_dense():
         assert np.array_equal(state.v[k], state_ref.v[k])
 
 
-def test_adam_resumed_from_checkpoint_equals_dense(tmp_path):
-    # hidden 32 gives w0 and w4 over two Adam blocks each, neither a multiple
-    config = ModelConfig(n_classes=default_catalog().n, grid_size=GRID, hidden=32)
-    params, stats = nn.init_params(config, seed=5)
-    assert all(params[k].size > 2 * nn.ADAM_BLOCK for k in ("w0", "w4"))
-    assert all(params[k].size % nn.ADAM_BLOCK for k in ("w0", "w4"))
-    params_ref = {k: v.copy() for k, v in params.items()}
-    state, state_ref = AdamState(), AdamState()
-    rng = np.random.default_rng(10)
-    steps = [{k: rng.normal(size=v.shape) for k, v in params.items()} for _ in range(3)]
-    for grads in steps:
-        dense_adam_step(params_ref, grads, state_ref, lr=1e-3, decay=1e-2)
-    for grads in steps[:2]:
-        nn.adam_step(params, grads, state, lr=1e-3, decay=1e-2)
-    path = tmp_path / "ckpt"
-    nn.save_checkpoint(path, config, params, stats, "hash", state)
-    _, params, _, _, state, _ = nn.load_checkpoint(path)
-    assert state.scratch == ()
-    nn.adam_step(params, steps[2], state, lr=1e-3, decay=1e-2)
-    assert state.t == state_ref.t == 3
-    for k in params:
-        assert np.array_equal(params[k], params_ref[k]), k
-        assert np.array_equal(state.m[k], state_ref.m[k]), k
-        assert np.array_equal(state.v[k], state_ref.v[k]), k
-
-
 @pytest.mark.parametrize("shape", [(1,), (3, 5), (7, 2), (36, 8960), (48, 35840)])
 def test_mse_loss_bitwise_equals_alloc_oracle(shape):
     # (36, 8960) and (48, 35840) are a training batch's output at S=16 and S=32

@@ -61,6 +61,17 @@ def test_catalog_mismatch(tmp_path):
         load_ontology(p, ClassCatalog(("x", "y")))
 
 
+def test_endpoint_config_from_file(tmp_path):
+    path = tmp_path / "endpoint.json"
+    doc = {"base_url": "http://127.0.0.1:9/v1", "model": "m", "temperature": 1, "max_retries": 2,
+           "prompt_template": "{room}: {classes}", "api_key": None}
+    path.write_text(json.dumps(doc))
+    cfg = EndpointConfig.from_file(path)
+    assert cfg == EndpointConfig(**doc) and type(cfg.temperature) is float
+    path.write_text(json.dumps({"base_url": "http://127.0.0.1:9/v1", "model": "m"}))
+    assert EndpointConfig.from_file(path) == EndpointConfig("http://127.0.0.1:9/v1", "m")
+
+
 def test_affinity_identity_like():
     o = Ontology(("r1", "r2", "r3"), ("a", "b", "c"), np.eye(3))
     p = class_affinity(o).matrix
