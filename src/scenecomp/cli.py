@@ -281,13 +281,10 @@ def _ontology(cfg: RunConfig):
     return onto
 
 
-def _affinity(cfg: RunConfig):
-    return class_affinity(_ontology(cfg)) if cfg.variant == BASE_ONT else None
-
-
 def cmd_train(cfg: RunConfig) -> None:
     splits = _load_dataset_checked(cfg, "train", "val")
-    m = new_model(_model_config(cfg), default_catalog().hash(), cfg.seed, _affinity(cfg))
+    affinity = class_affinity(_ontology(cfg)) if cfg.variant == BASE_ONT else None
+    m = new_model(_model_config(cfg), default_catalog().hash(), cfg.seed, affinity)
     tc = TrainConfig(cfg.epochs, cfg.batch_size, cfg.lr, cfg.lr_decay, cfg.seed)
     m, history = train(m, splits["train"], splits.get("val"), tc)
     save_checkpoint(
@@ -308,7 +305,8 @@ def cmd_train(cfg: RunConfig) -> None:
 
 
 def _load_model(cfg: RunConfig, raw: bytes | None = None) -> CompositionModel:
-    """The model of cfg's checkpoint, read from raw if given (the file's bytes)."""
+    """The model of cfg's checkpoint, read from raw if given (the file's bytes):
+    the whole model, its variant and affinity included, so no ontology is read."""
     path = _require(cfg.checkpoint, "checkpoint")
     config, params, stats, catalog_hash, _, extra = load_checkpoint(path, raw)
     if config.grid_size != cfg.grid_size:
@@ -317,8 +315,7 @@ def _load_model(cfg: RunConfig, raw: bytes | None = None) -> CompositionModel:
         )
     if catalog_hash != default_catalog().hash():
         raise ConfigMismatchError("checkpoint catalog hash mismatch")
-    cfg.variant = config.variant
-    return CompositionModel(config, params, stats, catalog_hash, _affinity(cfg))
+    return CompositionModel(config, params, stats, catalog_hash)
 
 
 def cmd_eval(cfg: RunConfig) -> None:

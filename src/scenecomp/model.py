@@ -43,11 +43,6 @@ class CompositionModel:
     params: dict
     stats: dict
     catalog_hash: str
-    affinity: ClassAffinity | None = None
-
-    def __post_init__(self):
-        if self.config.variant == BASE_ONT and self.affinity is None:
-            raise ConfigMismatchError("ontology variant needs a class affinity")
 
 
 def new_model(
@@ -57,7 +52,11 @@ def new_model(
     affinity: ClassAffinity | None = None,
 ) -> CompositionModel:
     params, stats = nn.init_params(config, seed)
-    return CompositionModel(config, params, stats, catalog_hash, affinity)
+    if config.variant == BASE_ONT:
+        if affinity is None or affinity.matrix.shape != stats["affinity"].shape:
+            raise ConfigMismatchError("ontology variant needs a class affinity of its classes")
+        stats["affinity"][...] = affinity.matrix
+    return CompositionModel(config, params, stats, catalog_hash)
 
 
 @dataclass
@@ -106,7 +105,7 @@ def encode_inputs(sample: BsgSample, model: CompositionModel) -> EncodedSample:
         cols = [present[nz // plane] * plane + nz % plane, block + nz_counts]
         vals = [h_present.ravel()[nz], counts[nz_counts]]
         if cfg.variant == BASE_ONT:
-            mixed = np.einsum("ij,jxy->ixy", model.affinity.matrix[:, present], h_present).ravel()
+            mixed = np.einsum("ij,jxy->ixy", model.stats["affinity"][:, present], h_present).ravel()
             nz = np.flatnonzero(mixed)
             cols.append(block + cfg.n_classes + nz)
             vals.append(mixed[nz])

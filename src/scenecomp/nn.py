@@ -48,6 +48,8 @@ from .errors import (
     NonFiniteError,
     ShapeMismatchError,
     UnreadableInputError,
+    is_json_int,
+    is_json_number,
 )
 from .graphs import SceneGraph
 
@@ -88,7 +90,7 @@ def _has_bn(config: ModelConfig, l: int) -> bool:
 
 
 def param_shapes(config: ModelConfig):
-    """Names and shapes of the trainable parameters and the batch-norm stats.
+    """Names and shapes of the trainable parameters and the (untrained) stats.
 
     A layer followed by train-mode batch norm has no bias: batch norm
     subtracts the batch mean, which cancels any bias exactly (its gradient
@@ -103,14 +105,16 @@ def param_shapes(config: ModelConfig):
             stats[f"mean{l}"] = stats[f"var{l}"] = (d_out,)
         else:
             params[f"b{l}"] = (d_out,)
+    if config.variant == "base_ont":  # the class affinity its inputs are mixed with
+        stats["affinity"] = (config.n_classes, config.n_classes)
     return params, stats
 
 
 def init_params(config: ModelConfig, seed: int = 0):
     """Fan-scaled uniform weights, zero biases, identity batch-norm.
 
-    Returns (params, stats): trainable arrays and batch-norm running stats,
-    named and shaped as `param_shapes` says.
+    Returns (params, stats): trainable arrays and stats, named and shaped
+    as `param_shapes` says; an affinity starts as zeros.
     """
     rng = np.random.default_rng(seed)
     shapes, stat_shapes = param_shapes(config)
@@ -428,7 +432,7 @@ def grad_check(config: ModelConfig, seed: int = 0, h: float = 1e-5, n_nodes: int
 # --- checkpoints ----------------------------------------------------------
 
 # Changed whenever a stored config or array set would no longer load as written.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 # Every member carries this fixed time, so equal checkpoints are equal bytes.
 _ZIP_TIME = (1980, 1, 1, 0, 0, 0)
 _META = "meta.json"
@@ -518,6 +522,17 @@ def _read_checkpoint(path, f):
     )
 
 
+# each stored config field's test, and what it must be
+_STORED_CONFIG_RULES = {
+    **{key: (lambda v: is_json_int(v) and v >= 1, "an int >= 1")
+       for key in ("n_classes", "grid_size", "hidden", "n_layers")},
+    "variant": (lambda v: v in ("base", "base_ont"), "'base' or 'base_ont'"),
+    "dropout": (lambda v: is_json_number(v) and 0 <= v < 1, "a number in [0, 1)"),
+    "bn_momentum": (lambda v: is_json_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "linear_only": (lambda v: isinstance(v, bool), "a bool"),
+}
+
+
 def _checked_arrays(section: str, arrays: dict, shapes: dict) -> dict:
     """One checkpoint section's arrays, named and shaped exactly as `shapes`."""
     unexpected = sorted(set(arrays) - set(shapes))
@@ -541,10 +556,11 @@ def load_checkpoint(path, raw: bytes | None = None):
     """Read a checkpoint written by `save_checkpoint`, from raw if given (the
     file's bytes, already read; path then only names it) or else from path.
 
-    Every parameter and batch-norm stat must carry exactly the names and
-    shapes that the stored config gives (`param_shapes`); anything else, and
-    another format version, raise ConfigMismatchError. A file that is not a
-    readable checkpoint raises UnreadableInputError. Returns (config, params,
+    Every parameter and stat must carry exactly the names and shapes that
+    the stored config gives (`param_shapes`); anything else, and another
+    format version, raise ConfigMismatchError. A file that is not a readable
+    checkpoint, or whose stored config holds a value of another type or
+    range, raises UnreadableInputError. Returns (config, params,
     stats, catalog_hash, None, extra): the 5th element, once optimizer state,
     is kept so that callers that unpack six values still work.
     """
@@ -555,6 +571,12 @@ def load_checkpoint(path, raw: bytes | None = None):
         catalog_hash, extra = meta["catalog_hash"], meta.get("extra")
     except (KeyError, TypeError) as e:
         raise UnreadableInputError(f"unreadable checkpoint {path}: bad meta {e}") from e
+    for key, (ok, what) in _STORED_CONFIG_RULES.items():
+        if not ok(getattr(config, key)):
+            raise UnreadableInputError(
+                f"unreadable checkpoint {path}: stored config key {key} is "
+                f"{getattr(config, key)!r}, not {what}"
+            )
     unexpected = sorted(set(sections) - {"params", "stats"})
     if unexpected:
         raise ConfigMismatchError(f"checkpoint has unexpected sections {unexpected}")

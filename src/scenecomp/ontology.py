@@ -51,7 +51,7 @@ class Ontology:
             raise ValueError(
                 f"biadjacency shape {self.biadjacency.shape} != ({m}, {n})"
             )
-        if np.any(self.biadjacency < 0) or np.any(self.biadjacency > 1):
+        if not np.all((self.biadjacency >= 0) & (self.biadjacency <= 1)):
             raise OutOfRangeError("biadjacency entries must lie in [0, 1]")
 
     def check_catalog(self, catalog: ClassCatalog) -> None:
@@ -93,8 +93,8 @@ def save_ontology(o: Ontology, path) -> None:
 
 def load_ontology(path, catalog: ClassCatalog | None = None) -> Ontology:
     """The ontology in the CSV file at path: a header of `room_concept` and the
-    classes, then one row of values in [0, 1] per room concept. Another layout,
-    or a file that is not UTF-8, raises OntologyParseError naming the file."""
+    classes, then one row of values in [0, 1] per room concept. Any other file
+    raises a SceneCompError naming the file (and the line, for a bad row or cell)."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as f:
             reader = csv.reader(f)
@@ -112,13 +112,14 @@ def load_ontology(path, catalog: ClassCatalog | None = None) -> Ontology:
                 f"class ({len(classes)}), not {len(cells)}"
             )
         rooms.append(room)
+        where = f"ontology CSV {path}, line {line}: room concept {room!r}"
         for cell in cells:
             try:
                 values.append(float(cell))
             except ValueError:
-                raise NonNumericCellError(f"non-numeric ontology cell {cell!r} in row {room!r}") from None
+                raise NonNumericCellError(f"{where}: non-numeric cell {cell!r}") from None
             if not 0.0 <= values[-1] <= 1.0:
-                raise OutOfRangeError(f"ontology entry {values[-1]} outside [0, 1]")
+                raise OutOfRangeError(f"{where}: entry {values[-1]} outside [0, 1]")
     o = Ontology(tuple(rooms), classes, np.array(values).reshape(len(rooms), len(classes)))
     if catalog is not None:
         o.check_catalog(catalog)

@@ -29,6 +29,7 @@ from scenecomp.graphs import (
 )
 from scenecomp.layout import EMPTY, LayoutGrid, Placement, extract_layout, layout_to_dict
 from scenecomp.nn import ModelConfig, init_params, save_checkpoint
+from scenecomp.ontology import Ontology, class_affinity, default_ontology, load_ontology, save_ontology
 from scenecomp.raster import HeatmapSet, rasterize
 from scenecomp.render import heatmap_to_pgm, layout_to_ppm
 
@@ -156,6 +157,36 @@ def test_predict_rejects_wrong_shape_checkpoint(tmp_path, capsys):
     assert not (tmp_path / "out" / "prediction.json").exists()
 
 
+# a stored model config key -> a value that `load_checkpoint` refuses
+BAD_STORED_CONFIGS = {
+    "n-layers-zero": ("n_layers", 0),
+    "grid-size-a-float": ("grid_size", 8.0),
+    "hidden-a-float": ("hidden", 8.0),
+    "variant-unknown": ("variant", "foo"),
+    "variant-null": ("variant", None),
+    "dropout-one": ("dropout", 1.0),
+    "bn-momentum-above-one": ("bn_momentum", 1.5),
+    "linear-only-a-string": ("linear_only", "yes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STORED_CONFIGS))
+def test_predict_of_checkpoint_with_bad_stored_config_fails_cleanly(tmp_path, capsys, case):
+    key, value = BAD_STORED_CONFIGS[case]
+    cfg = _write_config(tmp_path)
+    fields = dict(n_classes=default_catalog().n, grid_size=8, hidden=8)
+    # arrays shaped as the stored config says, so that only its value is wrong
+    shaped = {**fields, key: int(value) if key in ("grid_size", "hidden") else value}
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, ModelConfig(**{**fields, key: value}), *init_params(ModelConfig(**shaped)),
+                    default_catalog().hash())
+    assert main(["--config", str(cfg), "predict", str(_belief_graph_file(tmp_path))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unreadable checkpoint {path}: stored config key {key} is {value!r}, not ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out" / "prediction.json").exists()
+
+
 def _first_object(d):
     return next(n for n in d["nodes"] if n["layer"] == "object")
 
@@ -268,6 +299,46 @@ def test_eval_reads_the_checkpoint_once_and_hashes_the_bytes_it_scores(tmp_path,
     assert reads.count(ckpt) == 1 and loaded == [content]
     report = json.loads((tmp_path / "out" / "metrics_report.json").read_text())
     assert report["provenance"]["checkpoint_hash"] == hashlib.sha256(content).hexdigest()[:16]
+
+
+def _ontology_csv(tmp_path):
+    """A CSV of the default ontology's room concepts and classes, every entry 1."""
+    o = default_ontology()
+    path = tmp_path / "ones.csv"
+    save_ontology(Ontology(o.room_concepts, o.object_classes, np.ones_like(o.biadjacency)), path)
+    return path
+
+
+def test_base_ont_checkpoint_holds_the_affinity_of_its_ontology(tmp_path):
+    csv = _ontology_csv(tmp_path)
+    cfg = _write_config(tmp_path, n_scenes=4, variant="base_ont", ontology_file=str(csv))
+    assert main(["--config", str(cfg), "generate"]) == 0
+    assert main(["--config", str(cfg), "train"]) == 0
+    with np.load(tmp_path / "checkpoint.json", allow_pickle=False) as ckpt:
+        stored = ckpt["stats/affinity"]
+    expected = class_affinity(load_ontology(csv)).matrix
+    assert stored.dtype == expected.dtype and stored.tobytes() == expected.tobytes()
+
+
+def test_eval_and_predict_of_base_ont_read_no_ontology(tmp_path, monkeypatch):
+    trained = _write_config(tmp_path, variant="base_ont", ontology_file=str(_ontology_csv(tmp_path)))
+    graph = _belief_graph_file(tmp_path)
+    for command in (["generate"], ["train"], ["eval"], ["predict", str(graph)]):
+        assert main(["--config", str(trained), *command]) == 0
+
+    def no_ontology(*args):
+        raise AssertionError("an ontology was read")
+
+    for module in ("scenecomp.cli", "scenecomp.ontology"):
+        for name in ("load_ontology", "default_ontology"):
+            monkeypatch.setattr(f"{module}.{name}", no_ontology)
+    # the checkpoint, not the config, decides the variant and its affinity
+    missing = _write_config(tmp_path, "missing.json", ontology_file=str(tmp_path / "missing.csv"),
+                            output_dir=str(tmp_path / "again"))
+    assert main(["--config", str(missing), "eval"]) == 0
+    assert main(["--config", str(missing), "predict", str(graph)]) == 0
+    for name in ("metrics_report.json", "prediction.json"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
@@ -717,6 +788,10 @@ MALFORMED_ONTOLOGIES = {
     "ragged-row": (b"room_concept,a,b\nr1,1,0\nr2,1\n", "ontology CSV {path}, line 3: room concept 'r2' needs"),
     "header-only": (b"room_concept,a,b\n", "not an ontology CSV of a header and room concept rows: {path}"),
     "not-utf-8": (b"room_concept,a\n\xff,1\n", "unreadable ontology CSV {path}: "),
+    "non-numeric-cell": (b"room_concept,a,b\nr1,1,0\nr2,1,zzz\n",
+                         "ontology CSV {path}, line 3: room concept 'r2': non-numeric cell 'zzz'"),
+    "out-of-range-cell": (b"room_concept,a,b\nr1,1.5,0\n",
+                          "ontology CSV {path}, line 2: room concept 'r1': entry 1.5 outside [0, 1]"),
 }
 
 

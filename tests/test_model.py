@@ -80,6 +80,15 @@ def test_ont_variant_requires_affinity(catalog):
         _model(catalog, variant=BASE_ONT)
 
 
+def test_ont_variant_keeps_its_affinity_in_its_stats(catalog):
+    aff = class_affinity(default_ontology())
+    m = _model(catalog, variant=BASE_ONT, affinity=aff)
+    assert m.stats["affinity"].tobytes() == aff.matrix.tobytes()
+    assert "affinity" not in _model(catalog, affinity=aff).stats
+    with pytest.raises(ConfigMismatchError, match="class affinity of its classes"):
+        _model(catalog, variant=BASE_ONT, affinity=ClassAffinity(np.eye(catalog.n - 1)))
+
+
 def test_base_ont_identity_equivalence(catalog):
     # with P = I and the first-layer weights split in half across the two
     # heatmap blocks, the ontology variant reproduces the plain variant
@@ -97,7 +106,8 @@ def test_base_ont_identity_equivalence(catalog):
     for name in base.params:
         if name != "w0":
             ont.params[name] = base.params[name].copy()
-    ont.stats = {k: v.copy() for k, v in base.stats.items()}
+    # the batch-norm stats; the ontology variant keeps its affinity beside them
+    ont.stats.update({k: v.copy() for k, v in base.stats.items()})
     np.testing.assert_allclose(
         predict(ont, s).data, predict(base, s).data, atol=1e-10
     )

@@ -343,6 +343,20 @@ def test_checkpoint_rejects_names_and_shapes_its_config_lacks(tmp_path, edit, me
         nn.load_checkpoint(path)
 
 
+def test_base_ont_checkpoint_holds_its_affinity(tmp_path):
+    cfg = _config(variant="base_ont")
+    params, stats = nn.init_params(cfg, seed=19)
+    assert nn.param_shapes(cfg)[1]["affinity"] == (3, 3)
+    stats["affinity"][:] = np.random.default_rng(19).random((3, 3))
+    path = tmp_path / "ckpt.json"
+    nn.save_checkpoint(path, cfg, params, stats, "hash123")
+    assert nn.load_checkpoint(path)[2]["affinity"].tobytes() == stats.pop("affinity").tobytes()
+    # as a version-3 base_ont checkpoint was written
+    nn.save_checkpoint(path, cfg, params, stats, "hash123")
+    with pytest.raises(ConfigMismatchError, match=re.escape("missing ['affinity']")):
+        nn.load_checkpoint(path)
+
+
 def _rewrite_members(path, edit):
     """Rewrite the checkpoint zip at `path` with edit({name: bytes}) applied."""
     with zipfile.ZipFile(path) as zf:
@@ -410,7 +424,9 @@ def test_unreadable_checkpoint_raises_named_error(tmp_path, corrupt):
         (lambda path: path.write_text(json.dumps({"version": 1, "config": {}, "params": {}})), "JSON file of format version 1"),
         # version 2's config had a rooms_only field
         (lambda path: _rewrite_members(path, _with_version(2)), "zip file of format version 2"),
-        (lambda path: _rewrite_members(path, _with_version(4)), "zip file of format version 4"),
+        # version 3's base_ont checkpoints held no affinity
+        (lambda path: _rewrite_members(path, _with_version(3)), "zip file of format version 3"),
+        (lambda path: _rewrite_members(path, _with_version(5)), "zip file of format version 5"),
         (lambda path: _rewrite_members(path, _with_version("2")), "zip file of format version '2'"),
     ],
 )

@@ -251,7 +251,7 @@ def dense_encode_inputs(sample: BsgSample, model: CompositionModel) -> EncodedSa
     x[:, block : block + cfg.n_classes] = sample.counts.data
     if cfg.variant == BASE_ONT:
         for ri in range(n_rooms):
-            mixed = np.einsum("ij,jxy->ixy", model.affinity.matrix, heat.data[ri])
+            mixed = np.einsum("ij,jxy->ixy", model.stats["affinity"], heat.data[ri])
             x[ri, block + cfg.n_classes :] = mixed.ravel()
     room_rows = np.array([index[rid] for rid in heat.room_ids], dtype=np.intp)
     target = sample.target_heatmaps.data.reshape(len(heat.room_ids), -1)
@@ -369,7 +369,8 @@ def _perturbed_model(variant, hidden=16, **config):
         if not name.startswith("w"):
             p[:] = rng.normal(loc=1.0 if name.startswith("gamma") else 0.0, scale=0.1, size=p.shape)
     for name, s in model.stats.items():
-        s[:] = rng.uniform(0.5, 1.5, size=s.shape) if name.startswith("var") else rng.normal(size=s.shape)
+        if name != "affinity":
+            s[:] = rng.uniform(0.5, 1.5, size=s.shape) if name.startswith("var") else rng.normal(size=s.shape)
     return model
 
 

@@ -44,6 +44,12 @@ def test_out_of_range_and_non_numeric(tmp_path):
         load_ontology(p)
 
 
+def test_nan_entry_is_refused():
+    # NaN fails both `< 0` and `> 1`, and the class affinity of it is all NaN
+    with pytest.raises(OutOfRangeError):
+        Ontology(("r",), ("a", "b"), np.array([[np.nan, 1.0]]))
+
+
 def test_save_load_identity(tmp_path):
     o = Ontology(("r1", "r2"), ("a", "b"), np.array([[1.0, 0.25], [0.0, 1.0]]))
     path = tmp_path / "round.csv"
