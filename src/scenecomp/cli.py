@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import typing
 from dataclasses import dataclass
@@ -76,7 +77,8 @@ from .render import render_heatmaps, render_layout
 TOOL_VERSION = __version__
 
 
-# the range each numeric config key must lie in, as its text and its test
+# the values each config key that has a range must lie in (null, where a
+# key allows it, is always allowed), as their text and their test
 _RANGES = {
     **{key: ("> 0", lambda v: v > 0)
        for key in ("grid_size", "n_scenes", "n_rooms", "hidden", "epochs", "batch_size", "lr")},
@@ -84,6 +86,8 @@ _RANGES = {
     "blind_fraction": ("in [0, 1]", lambda v: 0 <= v <= 1),
     "lr_decay": (">= 0", lambda v: v >= 0),
     "dropout": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "threshold": ("a finite number >= 0", lambda v: math.isfinite(v) and v >= 0),
+    "variant": (f"{BASE!r} or {BASE_ONT!r}", lambda v: v in (BASE, BASE_ONT)),
 }
 
 
@@ -131,7 +135,7 @@ class RunConfig:
             if type(value) not in allowed:
                 names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
                 raise ConfigMismatchError(f"config key {key} is {value!r}, not {names}")
-            if key in _RANGES and not _RANGES[key][1](value):
+            if key in _RANGES and value is not None and not _RANGES[key][1](value):
                 raise ConfigMismatchError(f"config key {key} is {value!r}, not {_RANGES[key][0]}")
         return RunConfig(**values)
 

@@ -23,15 +23,18 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import nn
 from .dataset import BsgSample, splitmix64
 from .errors import ConfigMismatchError, EmptyDatasetError
 from .ontology import ClassAffinity
 from .raster import HeatmapSet
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 BASE = "base"
 BASE_ONT = "base_ont"
@@ -112,10 +115,11 @@ def encode_inputs(sample: BsgSample, model: CompositionModel) -> EncodedSample:
         indices += cols
         data += vals
         indptr.append(indptr[-1] + sum(len(c) for c in cols))
-    x = sp.csr_matrix(
-        (np.concatenate(data, dtype=np.float64), np.concatenate(indices, dtype=np.int32),
-         np.array(indptr, dtype=np.int32)),
-        shape=(n_rooms, cfg.input_width),
+    x = nn.csr_matrix(
+        np.concatenate(data, dtype=np.float64),
+        np.concatenate(indices, dtype=np.int32),
+        np.array(indptr, dtype=np.int32),
+        (n_rooms, cfg.input_width),
     )
     room_rows = np.array([index[rid] for rid in heat.room_ids], dtype=np.intp)
     target = sample.target_heatmaps.data.reshape(n_rooms, cfg.output_width)
@@ -190,8 +194,8 @@ def _stack_csr(mats: list[sp.csr_matrix], diagonal: bool) -> sp.csr_matrix:
     """The CSR matrices stacked row-wise by concatenating their arrays.
 
     With diagonal, each matrix's columns follow the previous ones' (the
-    same matrix, entry for entry, as sp.block_diag(..., format="csr"));
-    otherwise all share the first's columns (as sp.vstack(..., format="csr")).
+    same matrix, entry for entry, as scipy.sparse.block_diag(..., format="csr"));
+    otherwise all share the first's columns (as scipy.sparse.vstack(..., format="csr")).
     """
     indptr, indices = [np.zeros(1, dtype=np.int32)], []
     nnz = n_cols = 0
@@ -201,9 +205,11 @@ def _stack_csr(mats: list[sp.csr_matrix], diagonal: bool) -> sp.csr_matrix:
         nnz += m.nnz
         if diagonal:
             n_cols += m.shape[1]
-    return sp.csr_matrix(
-        (np.concatenate([m.data for m in mats]), np.concatenate(indices), np.concatenate(indptr)),
-        shape=(sum(m.shape[0] for m in mats), n_cols if diagonal else mats[0].shape[1]),
+    return nn.csr_matrix(
+        np.concatenate([m.data for m in mats]),
+        np.concatenate(indices),
+        np.concatenate(indptr),
+        (sum(m.shape[0] for m in mats), n_cols if diagonal else mats[0].shape[1]),
     )
 
 
@@ -240,9 +246,11 @@ def _live_columns(encoded: list[EncodedSample]):
     """
     live = np.unique(np.concatenate([e.x.indices for e in encoded]))
     compact = [
-        replace(e, x=sp.csr_matrix(
-            (e.x.data, np.searchsorted(live, e.x.indices).astype(e.x.indices.dtype), e.x.indptr),
-            shape=(e.x.shape[0], len(live)),
+        replace(e, x=nn.csr_matrix(
+            e.x.data,
+            np.searchsorted(live, e.x.indices).astype(e.x.indices.dtype),
+            e.x.indptr,
+            (e.x.shape[0], len(live)),
         ))
         for e in encoded
     ]

@@ -17,6 +17,9 @@ Those rows are mostly zero as well, and `scenecomp.model` passes them as a
 CSR matrix: layer 0's two products with them, x @ w0 forward and
 x.T @ (a.T @ d_z) backward, are then sparse x dense, with work in
 proportion to their non-zeros. The same expressions take a dense x.
+Every CSR matrix of the package, x and the adjacency included, is built
+by `csr_matrix`, the one function that imports scipy.sparse; importing
+the package loads no SciPy.
 
 `adam_step` updates the parameters and moments in place. Its elementwise
 passes run over one L2-sized block (`ADAM_BLOCK` elements) at a time
@@ -39,9 +42,9 @@ import json
 import math
 import zipfile
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     ConfigMismatchError,
@@ -52,6 +55,9 @@ from .errors import (
     is_json_number,
 )
 from .graphs import SceneGraph
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 BN_EPS = 1e-5
 
@@ -134,6 +140,18 @@ def init_params(config: ModelConfig, seed: int = 0):
     return params, stats
 
 
+def csr_matrix(data, indices, indptr, shape) -> sp.csr_matrix:
+    """scipy.sparse.csr_matrix((data, indices, indptr), shape=shape).
+
+    scipy.sparse is imported here alone: its import takes about as long as
+    the rest of the package's, and the commands that build no matrix
+    (generate, layout, render, ontology) need not pay for it.
+    """
+    import scipy.sparse
+
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=shape)
+
+
 def normalized_adjacency(g: SceneGraph) -> sp.csr_matrix:
     """Symmetric degree-normalized adjacency with self-loops, D^-1/2 A D^-1/2.
 
@@ -152,7 +170,7 @@ def normalized_adjacency(g: SceneGraph) -> sp.csr_matrix:
     degree = np.bincount(row, minlength=n)
     d = 1.0 / np.sqrt(degree)
     indptr = np.concatenate([[0], np.cumsum(degree)])
-    return sp.csr_matrix((d[row] * d[col], col, indptr), shape=(n, n))
+    return csr_matrix(d[row] * d[col], col, indptr, (n, n))
 
 
 def _check_finite(direction: str, layer: int, tensor: str, a: np.ndarray) -> None:

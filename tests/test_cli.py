@@ -1,12 +1,16 @@
 import base64
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scenecomp
 import scenecomp.cli as cli_module
 from scenecomp import __version__
 from scenecomp.catalog import default_catalog
@@ -105,6 +109,40 @@ def test_full_pipeline_round_trip(tmp_path):
     assert list(render_dir.glob("*.pgm"))
     assert main(["--config", str(cfg), "--out", str(render_dir), "render", str(layout)]) == 0
     assert list(render_dir.glob("*_layout.ppm"))
+
+
+_SCIPY_PROBE = """
+import sys
+import scenecomp
+from scenecomp.cli import main
+
+cfg, prediction, layout, graph = sys.argv[1:]
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+for command in (["generate"], ["layout", prediction], ["render", layout],
+                ["ontology", "validate"]):
+    assert main(["--config", cfg, *command]) == 0, command
+    assert not scipy_modules(), (command, scipy_modules()[:3])
+assert main(["--config", cfg, "predict", graph]) == 0
+assert "scipy.sparse" in scipy_modules()
+"""
+
+
+def test_only_commands_that_build_csr_matrices_load_scipy(tmp_path):
+    cfg = _write_config(tmp_path, epochs=1)
+    graph = _belief_graph_file(tmp_path)
+    for command in (["generate"], ["train"], ["predict", str(graph)]):
+        assert main(["--config", str(cfg), *command]) == 0
+    fresh = _write_config(tmp_path, "fresh.json", dataset_dir=str(tmp_path / "fresh"),
+                          output_dir=str(tmp_path / "fresh-out"))
+    src = str(Path(scenecomp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(fresh), str(tmp_path / "out" / "prediction.json"),
+         str(tmp_path / "fresh-out" / "layout.json"), str(graph)],
+        env=env, check=True,
+    )
 
 
 def test_generate_is_byte_deterministic(tmp_path):
@@ -385,21 +423,30 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, key, value, messa
         ("lr", 0, "config key lr is 0.0, not > 0"),
         ("lr_decay", -1e-8, "config key lr_decay is -1e-08, not >= 0"),
         ("dropout", 1, "config key dropout is 1.0, not in [0, 1)"),
+        ("threshold", -1, "config key threshold is -1.0, not a finite number >= 0"),
+        ("threshold", float("nan"), "config key threshold is nan, not a finite number >= 0"),
+        ("threshold", float("inf"), "config key threshold is inf, not a finite number >= 0"),
+        ("--threshold", "-1", "config key threshold is -1.0, not a finite number >= 0"),
+        ("--threshold", "nan", "config key threshold is nan, not a finite number >= 0"),
+        ("variant", "foo", "config key variant is 'foo', not 'base' or 'base_ont'"),
     ],
 )
 def test_config_value_out_of_range_rejected(tmp_path, capsys, key, value, message):
-    cfg = _write_config(tmp_path, **{"n_scenes": 4, key: value})
-    assert main(["--config", str(cfg), "generate"]) == 1
+    # a key spelled as a flag is given on the command line, not in the file
+    flags = [f"{key}={value}"] if key.startswith("--") else []
+    cfg = _write_config(tmp_path, **{"n_scenes": 4, **({} if flags else {key: value})})
+    assert main(["--config", str(cfg), *flags, "generate"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "dataset").exists()
 
 
 def test_config_range_ends_accepted(tmp_path):
-    ends = dict(blind_fraction=1.0, dropout=0.0, lr_decay=0.0, grid_size=1, n_scenes=1)
+    ends = dict(blind_fraction=1.0, dropout=0.0, lr_decay=0.0, grid_size=1, n_scenes=1, threshold=0.0)
     cfg = RunConfig.load(_write_config(tmp_path, **ends), {})
     assert [getattr(cfg, key) for key in ends] == list(ends.values())
-    cfg = RunConfig.load(_write_config(tmp_path, blind_fraction=0.0), {})
-    assert cfg.blind_fraction == 0.0
+    # null, the default threshold, is not range-checked
+    cfg = RunConfig.load(_write_config(tmp_path, blind_fraction=0.0, threshold=None), {})
+    assert (cfg.blind_fraction, cfg.threshold) == (0.0, None)
 
 
 def test_config_int_for_float_read_as_float(tmp_path):
