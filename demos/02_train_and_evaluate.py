@@ -3,33 +3,20 @@
 Uses a reduced grid and a handful of scenes so the whole run takes well under
 a minute on a laptop CPU; the mechanics are identical at full scale.
 """
-import numpy as np
-
 from scenecomp import nn
 from scenecomp.catalog import default_catalog
-from scenecomp.dataset import (
-    default_templates,
-    generate_synthetic_scene,
-    make_sample,
-    split_dataset,
-    splitmix64,
-)
-from scenecomp.graphs import augment
+from scenecomp.dataset import build_sample, synthetic_dataset
 from scenecomp.model import BASE, TrainConfig, evaluate_model, new_model, train
 
 
 def main():
     catalog = default_catalog()
-    templates = default_templates()
 
     print("generating 40 scenes ...")
-    samples = []
-    for i in range(40):
-        seed = splitmix64(7, i)
-        g = generate_synthetic_scene(templates, n_rooms=3, seed=seed, catalog=catalog)
-        g = augment(g, 0.25, splitmix64(seed, 1))
-        samples.append(make_sample(g, 0.25, grid_size=16, seed=splitmix64(seed, 2)))
-    train_s, val_s, test_s = split_dataset(samples, seed=7)
+    _, splits = synthetic_dataset(seed=7, n_scenes=40, n_rooms=3)
+    train_s, val_s, test_s = (
+        [build_sample(g, ids, grid_size=16) for g, ids in split] for split in splits
+    )
     print(f"split {len(train_s)}/{len(val_s)}/{len(test_s)} train/val/test")
 
     cfg = nn.ModelConfig(variant=BASE, n_classes=catalog.n, grid_size=16, hidden=64)

@@ -31,6 +31,7 @@ from .dataset import (
     generate_synthetic_scene,
     make_sample,
     split_dataset,
+    synthetic_dataset,
 )
 from .ontology import Ontology, class_affinity, default_ontology, load_ontology
 from .nn import ModelConfig, grad_check

@@ -25,18 +25,15 @@ from . import __version__
 from .catalog import default_catalog
 from .dataset import (
     BsgSample,
-    default_templates,
-    draw_masked,
-    generate_synthetic_scene,
     heatmaps_from_dict,
     heatmaps_to_dict,
     save_dataset,
     load_dataset,
-    split_dataset,
-    splitmix64,
+    synthetic_dataset,
 )
 from .errors import (
     ConfigMismatchError,
+    EmptyDatasetError,
     MissingArtifactError,
     SceneCompError,
     UnreadableInputError,
@@ -44,7 +41,7 @@ from .errors import (
     read_json,
     read_json_object,
 )
-from .graphs import BELIEF, BLIND, augment, children_of, load_graph
+from .graphs import BELIEF, BLIND, children_of, load_graph
 from .layout import (
     default_threshold,
     extract_layout,
@@ -81,12 +78,13 @@ TOOL_VERSION = __version__
 # key allows it, is always allowed), as their text and their test
 _RANGES = {
     **{key: ("> 0", lambda v: v > 0)
-       for key in ("grid_size", "n_scenes", "n_rooms", "hidden", "epochs", "batch_size", "lr")},
+       for key in ("grid_size", "n_scenes", "n_rooms", "hidden", "epochs", "batch_size")},
     "removal_fraction": ("in (0, 1)", lambda v: 0 < v < 1),
     "blind_fraction": ("in [0, 1]", lambda v: 0 <= v <= 1),
-    "lr_decay": (">= 0", lambda v: v >= 0),
+    "lr": ("a finite number > 0", lambda v: math.isfinite(v) and v > 0),
+    **{key: ("a finite number >= 0", lambda v: math.isfinite(v) and v >= 0)
+       for key in ("lr_decay", "threshold")},
     "dropout": ("in [0, 1)", lambda v: 0 <= v < 1),
-    "threshold": ("a finite number >= 0", lambda v: math.isfinite(v) and v >= 0),
     "variant": (f"{BASE!r} or {BASE_ONT!r}", lambda v: v in (BASE, BASE_ONT)),
 }
 
@@ -236,17 +234,11 @@ def _blind_counts(doc: dict, heat: HeatmapSet, path) -> dict:
 
 
 def cmd_generate(cfg: RunConfig) -> None:
-    catalog = default_catalog()
-    templates = default_templates()
     # a sample file is the augmented graph and its masked ids: nothing is rasterized here
-    samples = []
-    for i in range(cfg.n_scenes):
-        scene_seed = splitmix64(cfg.seed, i)
-        g = generate_synthetic_scene(templates, cfg.n_rooms, scene_seed, catalog)
-        g_aug = augment(g, cfg.removal_fraction, splitmix64(scene_seed, 1))
-        samples.append((g_aug, draw_masked(g_aug, cfg.blind_fraction, splitmix64(scene_seed, 2))))
-    splits = split_dataset(samples, seed=cfg.seed)
-    save_dataset(samples, splits, cfg.dataset_dir, cfg.grid_size, catalog, cfg.seed)
+    samples, splits = synthetic_dataset(
+        cfg.seed, cfg.n_scenes, cfg.n_rooms, cfg.removal_fraction, cfg.blind_fraction
+    )
+    save_dataset(samples, splits, cfg.dataset_dir, cfg.grid_size, default_catalog(), cfg.seed)
     print(
         f"wrote {len(samples)} samples "
         f"({len(splits[0])}/{len(splits[1])}/{len(splits[2])} train/val/test) "
@@ -255,12 +247,15 @@ def cmd_generate(cfg: RunConfig) -> None:
 
 
 def _load_dataset_checked(cfg: RunConfig, needed: str, *optional: str):
-    """{split: [BsgSample]} of the split `needed` and those of `optional` the
-    manifest lists; the dataset's other samples are not read."""
+    """{split: [BsgSample]} of the split `needed`, which must hold samples, and
+    those of `optional` the manifest lists; the dataset's other samples are
+    not read."""
     path = _require(Path(cfg.dataset_dir) / "manifest.json", "dataset manifest")
     manifest, splits = load_dataset(cfg.dataset_dir, (needed, *optional), cfg.grid_size)
     if needed not in splits:
         raise UnreadableInputError(f"dataset manifest {path} has no {needed!r} split")
+    if not splits[needed]:
+        raise EmptyDatasetError(f"dataset manifest {path} has an empty {needed!r} split")
     if manifest["catalog_hash"] != default_catalog().hash():
         raise ConfigMismatchError("dataset catalog hash mismatch")
     return splits

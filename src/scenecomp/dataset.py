@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import ClassCatalog
+from .catalog import ClassCatalog, default_catalog
 from .errors import (
     BadRatiosError,
     ConfigMismatchError,
@@ -38,6 +38,7 @@ from .graphs import (
     ROOM,
     SceneGraph,
     SceneNode,
+    augment,
     build_graph,
     graph_from_dict,
     graph_to_dict,
@@ -178,10 +179,6 @@ _SIZES = {
     "washing_machine": (0.6, 0.6, 0.85),
 }
 _DEFAULT_SIZE = (0.5, 0.5, 0.5)
-
-
-def object_size(class_name: str) -> tuple[float, float, float]:
-    return _SIZES.get(class_name, _DEFAULT_SIZE)
 
 
 def default_templates() -> tuple[SceneTemplate, ...]:
@@ -361,7 +358,7 @@ def generate_synthetic_scene(
         placed: dict[str, list[tuple[float, float]]] = {}
         for rule in tpl.rules:
             count = rng.randint(*rule.count_range)
-            size = object_size(rule.class_name)
+            size = _SIZES.get(rule.class_name, _DEFAULT_SIZE)
             for _ in range(count):
                 pos = _propose_position(rule, frame, size, placed, rng)
                 if pos is None:
@@ -404,6 +401,32 @@ def split_dataset(samples, ratios=(0.8, 0.1, 0.1), seed: int = 0):
         out.append([samples[i] for i in idx[start : start + c]])
         start += c
     return tuple(out)
+
+
+def synthetic_dataset(
+    seed: int,
+    n_scenes: int,
+    n_rooms: int,
+    removal_fraction: float = 0.25,
+    blind_fraction: float = 0.25,
+):
+    """The synthetic dataset of a master seed: (pairs, (train, val, test)).
+
+    Scene i has the seed s = splitmix64(seed, i): its building is
+    `generate_synthetic_scene(default templates, n_rooms, s)`, `augment`
+    removes objects under splitmix64(s, 1) and `draw_masked` draws the
+    masked ids under splitmix64(s, 2). Each pair is (augmented graph, masked
+    ids), as `sample_to_dict` and `save_dataset` take it and `build_sample`
+    builds it at any S; `split_dataset(pairs, seed=seed)` gives the splits.
+    """
+    catalog, templates = default_catalog(), default_templates()
+    pairs = []
+    for i in range(n_scenes):
+        scene_seed = splitmix64(seed, i)
+        g = generate_synthetic_scene(templates, n_rooms, scene_seed, catalog)
+        g = augment(g, removal_fraction, splitmix64(scene_seed, 1))
+        pairs.append((g, draw_masked(g, blind_fraction, splitmix64(scene_seed, 2))))
+    return pairs, split_dataset(pairs, seed=seed)
 
 
 # --- serialization --------------------------------------------------------

@@ -12,13 +12,7 @@ import pytest
 
 from scenecomp import nn
 from scenecomp.catalog import default_catalog
-from scenecomp.dataset import (
-    default_templates,
-    generate_synthetic_scene,
-    make_sample,
-    split_dataset,
-    splitmix64,
-)
+from scenecomp.dataset import build_sample, generate_synthetic_scene, make_sample, synthetic_dataset
 from scenecomp.graphs import OBJECT, augment
 from scenecomp.layout import EMPTY, extract_layout, place_blind_nodes
 from scenecomp.metrics import energy_grid, four_moments, wasserstein_grid
@@ -293,15 +287,11 @@ def test_acceptance_8_comparative_experiment():
     """
     start = time.time()
     catalog = default_catalog()
-    templates = default_templates()
     grid_size = 16
-    samples = []
-    for i in range(500):
-        seed = splitmix64(99, i)
-        g = generate_synthetic_scene(templates, 3, seed, catalog)
-        g_aug = augment(g, 0.25, splitmix64(seed, 1))
-        samples.append(make_sample(g_aug, 0.25, grid_size, splitmix64(seed, 2)))
-    train_s, val_s, test_s = split_dataset(samples, seed=99)
+    _, splits = synthetic_dataset(99, 500, 3)
+    train_s, val_s, test_s = (
+        [build_sample(g, ids, grid_size) for g, ids in split] for split in splits
+    )
 
     tc = TrainConfig(epochs=500, batch_size=12, lr=1e-3, lr_decay=0.0, seed=5)
     reports = {}

@@ -19,6 +19,8 @@ from scenecomp.dataset import (
     generate_synthetic_scene,
     heatmaps_from_dict,
     heatmaps_to_dict,
+    sample_to_dict,
+    synthetic_dataset,
     template_by_name,
 )
 from scenecomp.graphs import (
@@ -156,6 +158,15 @@ def test_generate_is_byte_deterministic(tmp_path):
     )
     assert len(a) == 5  # the manifest and four samples
     assert a == b
+    # the files are synthetic_dataset's pairs, in its split order
+    pairs, splits = synthetic_dataset(3, 4, 2)
+    names = {id(pair): f"sample_{i:05d}.json" for i, pair in enumerate(pairs)}
+    for pair in pairs:
+        assert a[Path("samples", names[id(pair)])] == json.dumps(sample_to_dict(pair)).encode()
+    manifest = json.loads(a[Path("manifest.json")])
+    assert [manifest["splits"][k] for k in ("train", "val", "test")] == [
+        [names[id(pair)] for pair in split] for split in splits
+    ]
 
 
 def test_grid_size_mismatch_fails(tmp_path, capsys):
@@ -314,7 +325,7 @@ def test_train_is_byte_deterministic(tmp_path, monkeypatch):
 
 
 def test_eval_reads_the_checkpoint_once_and_hashes_the_bytes_it_scores(tmp_path, monkeypatch):
-    cfg = _write_config(tmp_path, n_scenes=4)
+    cfg = _write_config(tmp_path, n_scenes=10)  # split 8/1/1: eval scores one
     assert main(["--config", str(cfg), "generate"]) == 0
     assert main(["--config", str(cfg), "train"]) == 0
     ckpt = tmp_path / "checkpoint.json"
@@ -381,7 +392,7 @@ def test_eval_and_predict_of_base_ont_read_no_ontology(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
 def test_half_length_checkpoint_fails_cleanly(tmp_path, capsys, command):
-    cfg = _write_config(tmp_path, n_scenes=4)
+    cfg = _write_config(tmp_path, n_scenes=10)  # split 8/1/1: eval reaches the checkpoint
     assert main(["--config", str(cfg), "generate"]) == 0
     assert main(["--config", str(cfg), "train"]) == 0
     ckpt = tmp_path / "checkpoint.json"
@@ -420,8 +431,10 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, key, value, messa
         ("removal_fraction", 1.5, "config key removal_fraction is 1.5, not in (0, 1)"),
         ("removal_fraction", 0, "config key removal_fraction is 0.0, not in (0, 1)"),
         ("blind_fraction", -1.0, "config key blind_fraction is -1.0, not in [0, 1]"),
-        ("lr", 0, "config key lr is 0.0, not > 0"),
-        ("lr_decay", -1e-8, "config key lr_decay is -1e-08, not >= 0"),
+        ("lr", 0, "config key lr is 0.0, not a finite number > 0"),
+        ("lr", float("inf"), "config key lr is inf, not a finite number > 0"),
+        ("lr_decay", -1e-8, "config key lr_decay is -1e-08, not a finite number >= 0"),
+        ("lr_decay", float("inf"), "config key lr_decay is inf, not a finite number >= 0"),
         ("dropout", 1, "config key dropout is 1.0, not in [0, 1)"),
         ("threshold", -1, "config key threshold is -1.0, not a finite number >= 0"),
         ("threshold", float("nan"), "config key threshold is nan, not a finite number >= 0"),

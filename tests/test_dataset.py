@@ -6,10 +6,11 @@ import pytest
 
 import scenecomp.dataset as dataset_module
 from scenecomp.catalog import default_catalog
-from scenecomp.cli import main
+from scenecomp.cli import RunConfig, cmd_eval, main
 from scenecomp.dataset import (
     BsgSample,
     build_sample,
+    default_templates,
     draw_masked,
     generate_synthetic_scene,
     heatmaps_from_dict,
@@ -21,20 +22,23 @@ from scenecomp.dataset import (
     save_dataset,
     split_dataset,
     splitmix64,
+    synthetic_dataset,
     template_by_name,
 )
 from scenecomp.errors import (
     BadRatiosError,
     ConfigMismatchError,
+    EmptyDatasetError,
     EmptyGraphError,
     NoTruthGraphError,
     UnreadableInputError,
 )
-from scenecomp.graphs import GROUND_TRUTH, OBJECT, build_graph, graph_to_dict, rooms_of
+from scenecomp.graphs import GROUND_TRUTH, OBJECT, augment, build_graph, graph_to_dict, rooms_of
 from scenecomp.raster import HeatmapSet, rasterize, room_frame
 
 from conftest import simple_graph, toy_samples
 from raster_oracles import loop_rasterize
+from test_raster import assert_samples_identical
 
 
 def test_make_sample_counts_match(catalog):
@@ -166,6 +170,31 @@ def test_split_bad_ratios():
 def test_split_deterministic():
     s = list(range(50))
     assert split_dataset(s, seed=4) == split_dataset(s, seed=4)
+
+
+def hand_loop_splits(seed, n_scenes, n_rooms, grid_size):
+    """The seed scheme as callers wrote it out before `synthetic_dataset`:
+    the oracle of that function's scenes, masks and splits."""
+    catalog, templates = default_catalog(), default_templates()
+    samples = []
+    for i in range(n_scenes):
+        scene_seed = splitmix64(seed, i)
+        g = generate_synthetic_scene(templates, n_rooms, scene_seed, catalog)
+        g_aug = augment(g, 0.25, splitmix64(scene_seed, 1))
+        samples.append(make_sample(g_aug, 0.25, grid_size, splitmix64(scene_seed, 2)))
+    return split_dataset(samples, seed=seed)
+
+
+# the set-ups of test_acceptance_8 and demos/02_train_and_evaluate.py
+@pytest.mark.parametrize("seed, n_scenes", [(99, 500), (7, 40)])
+def test_synthetic_dataset_equals_hand_loop(seed, n_scenes):
+    pairs, splits = synthetic_dataset(seed, n_scenes, 3)
+    want = hand_loop_splits(seed, n_scenes, 3, 16)
+    assert len(pairs) == n_scenes
+    assert [len(split) for split in splits] == [len(split) for split in want]
+    for split, want_split in zip(splits, want):
+        for (g, ids), w in zip(split, want_split):
+            assert_samples_identical(build_sample(g, ids, 16), w)
 
 
 def test_sample_round_trip(small_catalog, toy_template):
@@ -563,6 +592,19 @@ def test_eval_fails_on_a_truncated_test_sample(trained, capsys):
     capsys.readouterr()
     assert main(["--config", str(cfg), "eval"]) == 1
     assert capsys.readouterr().err.startswith(f"error: unreadable JSON file {sample}: ")
+
+
+def test_eval_of_an_empty_test_split_fails(tmp_path, capsys):
+    # 6 scenes split 5/1/0: there is nothing to score
+    cfg, ds = _generate(tmp_path, 8, n_scenes=6)
+    assert main(["--config", str(cfg), "train"]) == 0
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "eval"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: dataset manifest {ds / 'manifest.json'} has an empty 'test' split\n"
+    assert not (tmp_path / "out" / "metrics_report.json").exists()
+    with pytest.raises(EmptyDatasetError):
+        cmd_eval(RunConfig.load(cfg, {}))
 
 
 def test_load_dataset_of_named_splits_equals_whole_load(tmp_path):
