@@ -25,21 +25,21 @@ def main():
     print(f"\n'stove' is located in: {', '.join(rooms_with_stove)}")
 
     aff = class_affinity(onto)
-    print(f"\naffinity rows sum to 1: {np.allclose(aff.matrix.sum(axis=1), 1.0)}")
+    print(f"\naffinity rows sum to 1: {np.allclose(aff.sum(axis=1), 1.0)}")
 
     for label in ("stove", "bed", "chair"):
         i = catalog.index(label)
-        top = np.argsort(-aff.matrix[i])[:6]
+        top = np.argsort(-aff[i])[:6]
         partners = ", ".join(
-            f"{catalog.label(j)} ({aff.matrix[i, j]:.3f})" for j in top if j != i
+            f"{catalog.label(j)} ({aff[i, j]:.3f})" for j in top if j != i
         )
         print(f"  {label:<6} co-locates with: {partners}")
 
     # affinity is what distinguishes the two model variants: the augmented
     # one feeds each room an extra, ontology-smoothed copy of its heatmaps
     chair, table, plant = (catalog.index(x) for x in ("chair", "table", "plant"))
-    print(f"\nP[chair,table] = {aff.matrix[chair, table]:.4f} vs "
-          f"P[chair,plant] = {aff.matrix[chair, plant]:.4f}")
+    print(f"\nP[chair,table] = {aff[chair, table]:.4f} vs "
+          f"P[chair,plant] = {aff[chair, plant]:.4f}")
 
 
 if __name__ == "__main__":

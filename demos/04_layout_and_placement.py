@@ -31,7 +31,7 @@ def main():
     print(f"threshold = 1/S^2 = {threshold:.6f}")
     for ri, room_id in enumerate(heat.room_ids):
         frame = heat.room_frames[ri]
-        lg = extract_layout(heat.data[ri], threshold, frame)
+        lg = extract_layout(heat.data[ri], threshold)
         occupied = int((lg.cells >= 0).sum())
         print(f"\nroom {room_id}: frame {tuple(round(v, 2) for v in frame)}, "
               f"{occupied}/{16 * 16} cells labeled")

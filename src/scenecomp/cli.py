@@ -50,7 +50,6 @@ from .layout import (
     place_blind_nodes,
 )
 from .model import (
-    BASE,
     BASE_ONT,
     CompositionModel,
     TrainConfig,
@@ -59,7 +58,7 @@ from .model import (
     predict,
     train,
 )
-from .nn import ModelConfig, load_checkpoint, save_checkpoint
+from .nn import CONFIG_RULES, ModelConfig, check_config, load_checkpoint, save_checkpoint
 from .ontology import (
     EndpointConfig,
     class_affinity,
@@ -74,18 +73,16 @@ from .render import render_heatmaps, render_layout
 TOOL_VERSION = __version__
 
 
-# the values each config key that has a range must lie in (null, where a
-# key allows it, is always allowed), as their text and their test
-_RANGES = {
-    **{key: ("> 0", lambda v: v > 0)
-       for key in ("grid_size", "n_scenes", "n_rooms", "hidden", "epochs", "batch_size")},
-    "removal_fraction": ("in (0, 1)", lambda v: 0 < v < 1),
-    "blind_fraction": ("in [0, 1]", lambda v: 0 <= v <= 1),
-    "lr": ("a finite number > 0", lambda v: math.isfinite(v) and v > 0),
-    **{key: ("a finite number >= 0", lambda v: math.isfinite(v) and v >= 0)
-       for key in ("lr_decay", "threshold")},
-    "dropout": ("in [0, 1)", lambda v: 0 <= v < 1),
-    "variant": (f"{BASE!r} or {BASE_ONT!r}", lambda v: v in (BASE, BASE_ONT)),
+# each config key's rule, as (test, what the value must be): CONFIG_RULES
+# for the keys a model or training config holds, and these for the others;
+# a value has its annotated type when it is tested
+_RULES = {
+    **CONFIG_RULES,
+    **{key: (lambda v: v > 0, "> 0") for key in ("n_scenes", "n_rooms")},
+    "removal_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "blind_fraction": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    # null, the default, is the grid's own threshold
+    "threshold": (lambda v: v is None or (math.isfinite(v) and v >= 0), "a finite number >= 0"),
 }
 
 
@@ -95,19 +92,19 @@ class RunConfig:
     ontology_file: str | None = None
     checkpoint: str = "checkpoint.json"
     output_dir: str = "out"
-    variant: str = BASE
-    grid_size: int = 32
-    seed: int = 0
+    variant: str = ModelConfig.variant
+    grid_size: int = ModelConfig.grid_size
+    seed: int = TrainConfig.seed
     n_scenes: int = 100
     n_rooms: int = 4
     blind_fraction: float = 0.25
     removal_fraction: float = 0.25
-    hidden: int = 256
-    dropout: float = 0.2
-    epochs: int = 5000
-    batch_size: int = 12
-    lr: float = 1e-5
-    lr_decay: float = 1e-8
+    hidden: int = ModelConfig.hidden
+    dropout: float = ModelConfig.dropout
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    lr: float = TrainConfig.lr
+    lr_decay: float = TrainConfig.lr_decay
     threshold: float | None = None
 
     @staticmethod
@@ -133,8 +130,7 @@ class RunConfig:
             if type(value) not in allowed:
                 names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
                 raise ConfigMismatchError(f"config key {key} is {value!r}, not {names}")
-            if key in _RANGES and value is not None and not _RANGES[key][1](value):
-                raise ConfigMismatchError(f"config key {key} is {value!r}, not {_RANGES[key][0]}")
+        check_config(values, _RULES)
         return RunConfig(**values)
 
 
@@ -298,7 +294,7 @@ def cmd_train(cfg: RunConfig) -> None:
             "history_tail": history[-5:],
         },
     )
-    final = history[-1]["train"] if history else float("nan")
+    final = history[-1]["train"]
     print(f"trained {cfg.variant} for {len(history)} epochs, final train MSE {final:.6g}")
     print(f"checkpoint written to {cfg.checkpoint}")
 
@@ -382,7 +378,7 @@ def cmd_layout(cfg: RunConfig, prediction_path) -> None:
     for ri, room_id in enumerate(heat.room_ids):
         frame = heat.room_frames[ri]
         grid_stack = heat.data[ri]
-        lg = extract_layout(grid_stack, threshold, frame)
+        lg = extract_layout(grid_stack, threshold)
         placements = place_blind_nodes(grid_stack, blind.get(str(room_id), []), lg, frame)
         rooms_out.append(layout_to_dict(room_id, lg, placements))
     out_dir = Path(cfg.output_dir)
@@ -431,7 +427,7 @@ def cmd_ontology(cfg: RunConfig, action: str, endpoint_config) -> None:
         print(
             f"ontology ok: {len(onto.room_concepts)} room concepts x "
             f"{len(onto.object_classes)} classes, affinity rows stochastic: "
-            f"{bool(np.allclose(aff.matrix.sum(axis=1), 1.0))}"
+            f"{bool(np.allclose(aff.sum(axis=1), 1.0))}"
         )
         return
     if action == "build":
@@ -497,10 +493,7 @@ def main(argv=None) -> int:
             cmd_render(cfg, args.input)
         elif args.command == "ontology":
             cmd_ontology(cfg, args.action, args.endpoint_config)
-    except SceneCompError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (SceneCompError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

@@ -1,6 +1,7 @@
 """Discrete room layouts and blind-node placement from predicted heatmaps."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,26 +21,25 @@ def default_threshold(grid_size: int) -> float:
 class LayoutGrid:
     cells: np.ndarray  # [S, S] of class index or EMPTY
     threshold: float
-    frame: Frame | None = None
 
     @property
     def grid_size(self) -> int:
         return self.cells.shape[0]
 
 
-def extract_layout(
-    heatmaps: np.ndarray, threshold: float, frame: Frame | None = None
-) -> LayoutGrid:
-    """Per-cell argmax over classes, emptied where no class beats the threshold.
+def extract_layout(heatmaps: np.ndarray, threshold: float, frame=None) -> LayoutGrid:
+    """Per-cell argmax over classes, emptied where no class beats the threshold,
+    which must be finite and >= 0.
 
-    Ties go to the lowest class index.
+    Ties go to the lowest class index. frame is not read; the benchmark
+    (`bench/`) still passes the room's frame.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError("threshold must be finite and non-negative")
     best = np.argmax(heatmaps, axis=0)  # lowest index wins ties
     peak = np.max(heatmaps, axis=0)
     cells = np.where(peak >= threshold, best, EMPTY).astype(np.int64)
-    return LayoutGrid(cells, threshold, frame)
+    return LayoutGrid(cells, threshold)
 
 
 def _cell_center(edges: tuple[list[float], list[float]], i: int, j: int) -> tuple[float, float]:

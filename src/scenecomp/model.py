@@ -30,7 +30,6 @@ import numpy as np
 from . import nn
 from .dataset import BsgSample, splitmix64
 from .errors import ConfigMismatchError, EmptyDatasetError
-from .ontology import ClassAffinity
 from .raster import HeatmapSet
 
 if TYPE_CHECKING:
@@ -52,13 +51,15 @@ def new_model(
     config: nn.ModelConfig,
     catalog_hash: str,
     seed: int = 0,
-    affinity: ClassAffinity | None = None,
+    affinity: np.ndarray | None = None,
 ) -> CompositionModel:
+    """A freshly initialized model; a base_ont one keeps affinity, the
+    classes x classes matrix of `ontology.class_affinity`, as a stat."""
     params, stats = nn.init_params(config, seed)
     if config.variant == BASE_ONT:
-        if affinity is None or affinity.matrix.shape != stats["affinity"].shape:
+        if affinity is None or affinity.shape != stats["affinity"].shape:
             raise ConfigMismatchError("ontology variant needs a class affinity of its classes")
-        stats["affinity"][...] = affinity.matrix
+        stats["affinity"][...] = affinity
     return CompositionModel(config, params, stats, catalog_hash)
 
 
@@ -186,8 +187,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size <= 0 or self.lr <= 0 or self.lr_decay < 0:
-            raise ValueError("train config values must be positive")
+        nn.check_config(vars(self))
 
 
 def _stack_csr(mats: list[sp.csr_matrix], diagonal: bool) -> sp.csr_matrix:

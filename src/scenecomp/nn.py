@@ -61,6 +61,29 @@ if TYPE_CHECKING:
 
 BN_EPS = 1e-5
 
+# every rule on a field of ModelConfig or scenecomp.model.TrainConfig, the
+# two of which check themselves on construction: key -> (test, what the
+# value must be)
+CONFIG_RULES = {
+    **{key: (lambda v: is_json_int(v) and v > 0, "an int > 0")
+       for key in ("n_classes", "grid_size", "hidden", "n_layers", "epochs", "batch_size")},
+    "variant": (lambda v: v in ("base", "base_ont"), "'base' or 'base_ont'"),
+    "dropout": (lambda v: is_json_number(v) and 0 <= v < 1, "in [0, 1)"),
+    "bn_momentum": (lambda v: is_json_number(v) and 0 <= v <= 1, "in [0, 1]"),
+    "linear_only": (lambda v: isinstance(v, bool), "a bool"),
+    "lr": (lambda v: is_json_number(v) and math.isfinite(v) and v > 0, "a finite number > 0"),
+    "lr_decay": (lambda v: is_json_number(v) and math.isfinite(v) and v >= 0,
+                 "a finite number >= 0"),
+}
+
+
+def check_config(values: dict, rules: dict = CONFIG_RULES) -> None:
+    """Raise ConfigMismatchError naming the first of values' keys whose value
+    breaks its rule in rules, a dict like CONFIG_RULES; keys without a rule pass."""
+    for key, value in values.items():
+        if key in rules and not rules[key][0](value):
+            raise ConfigMismatchError(f"config key {key} is {value!r}, not {rules[key][1]}")
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -72,6 +95,9 @@ class ModelConfig:
     dropout: float = 0.2
     bn_momentum: float = 0.1
     linear_only: bool = False  # drop BN/ReLU/dropout (exact-quadratic checks)
+
+    def __post_init__(self):
+        check_config(vars(self))
 
     @property
     def input_width(self) -> int:
@@ -540,17 +566,6 @@ def _read_checkpoint(path, f):
     )
 
 
-# each stored config field's test, and what it must be
-_STORED_CONFIG_RULES = {
-    **{key: (lambda v: is_json_int(v) and v >= 1, "an int >= 1")
-       for key in ("n_classes", "grid_size", "hidden", "n_layers")},
-    "variant": (lambda v: v in ("base", "base_ont"), "'base' or 'base_ont'"),
-    "dropout": (lambda v: is_json_number(v) and 0 <= v < 1, "a number in [0, 1)"),
-    "bn_momentum": (lambda v: is_json_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
-    "linear_only": (lambda v: isinstance(v, bool), "a bool"),
-}
-
-
 def _checked_arrays(section: str, arrays: dict, shapes: dict) -> dict:
     """One checkpoint section's arrays, named and shaped exactly as `shapes`."""
     unexpected = sorted(set(arrays) - set(shapes))
@@ -577,10 +592,10 @@ def load_checkpoint(path, raw: bytes | None = None):
     Every parameter and stat must carry exactly the names and shapes that
     the stored config gives (`param_shapes`); anything else, and another
     format version, raise ConfigMismatchError. A file that is not a readable
-    checkpoint, or whose stored config holds a value of another type or
-    range, raises UnreadableInputError. Returns (config, params,
-    stats, catalog_hash, None, extra): the 5th element, once optimizer state,
-    is kept so that callers that unpack six values still work.
+    checkpoint, or whose stored config breaks a rule of CONFIG_RULES, raises
+    UnreadableInputError. Returns (config, params, stats, catalog_hash,
+    None, extra): the 5th element, once optimizer state, is kept so that
+    callers that unpack six values still work.
     """
     with (open(path, "rb") if raw is None else io.BytesIO(raw)) as f:
         meta, sections = _read_checkpoint(path, f)
@@ -589,12 +604,8 @@ def load_checkpoint(path, raw: bytes | None = None):
         catalog_hash, extra = meta["catalog_hash"], meta.get("extra")
     except (KeyError, TypeError) as e:
         raise UnreadableInputError(f"unreadable checkpoint {path}: bad meta {e}") from e
-    for key, (ok, what) in _STORED_CONFIG_RULES.items():
-        if not ok(getattr(config, key)):
-            raise UnreadableInputError(
-                f"unreadable checkpoint {path}: stored config key {key} is "
-                f"{getattr(config, key)!r}, not {what}"
-            )
+    except ConfigMismatchError as e:
+        raise UnreadableInputError(f"unreadable checkpoint {path}: stored {e}") from e
     unexpected = sorted(set(sections) - {"params", "stats"})
     if unexpected:
         raise ConfigMismatchError(f"checkpoint has unexpected sections {unexpected}")

@@ -61,15 +61,9 @@ class Ontology:
             )
 
 
-@dataclass(frozen=True)
-class ClassAffinity:
-    """Row-stochastic class-to-class co-location prior."""
-
-    matrix: np.ndarray  # [n, n]
-
-
-def class_affinity(o: Ontology) -> ClassAffinity:
-    """Row-normalized co-occurrence of classes over room concepts.
+def class_affinity(o: Ontology) -> np.ndarray:
+    """The classes x classes co-location prior: row-normalized co-occurrence
+    of classes over room concepts.
 
     K = Omega^T Omega counts shared rooms; a small diagonal regularizer
     keeps rows of classes that appear in no room stochastic.
@@ -77,7 +71,7 @@ def class_affinity(o: Ontology) -> ClassAffinity:
     omega = np.asarray(o.biadjacency, dtype=np.float64)
     k = omega.T @ omega
     k = k + AFFINITY_EPS * np.eye(k.shape[0])
-    return ClassAffinity(k / k.sum(axis=1, keepdims=True))
+    return k / k.sum(axis=1, keepdims=True)
 
 
 # --- CSV round-trip -------------------------------------------------------

@@ -222,7 +222,7 @@ def test_acceptance_6_layout_goldens():
 
 def test_acceptance_7_ontology_math():
     aff = class_affinity(default_ontology())
-    row_gap = float(np.abs(aff.matrix.sum(axis=1) - 1.0).max())
+    row_gap = float(np.abs(aff.sum(axis=1) - 1.0).max())
     assert row_gap < 1e-9
 
     omega = np.asarray(default_ontology().biadjacency)
@@ -235,7 +235,7 @@ def test_acceptance_7_ontology_math():
         ("chair", "table", "plant"),
         np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]),
     )
-    p = class_affinity(toy).matrix
+    p = class_affinity(toy)
     chair, table, plant = 0, 1, 2
     assert p[chair, table] > p[chair, plant]
     print(

@@ -34,10 +34,12 @@ from scenecomp.graphs import (
     save_graph,
 )
 from scenecomp.layout import EMPTY, LayoutGrid, Placement, extract_layout, layout_to_dict
-from scenecomp.nn import ModelConfig, init_params, save_checkpoint
+from scenecomp.nn import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from scenecomp.ontology import Ontology, class_affinity, default_ontology, load_ontology, save_ontology
 from scenecomp.raster import HeatmapSet, rasterize
 from scenecomp.render import heatmap_to_pgm, layout_to_ppm
+
+from test_nn import _rewrite_members
 
 
 def _write_config(tmp_path, name="config.json", **extra):
@@ -223,12 +225,17 @@ BAD_STORED_CONFIGS = {
 def test_predict_of_checkpoint_with_bad_stored_config_fails_cleanly(tmp_path, capsys, case):
     key, value = BAD_STORED_CONFIGS[case]
     cfg = _write_config(tmp_path)
-    fields = dict(n_classes=default_catalog().n, grid_size=8, hidden=8)
-    # arrays shaped as the stored config says, so that only its value is wrong
-    shaped = {**fields, key: int(value) if key in ("grid_size", "hidden") else value}
+    config = ModelConfig(n_classes=default_catalog().n, grid_size=8, hidden=8)
     path = tmp_path / "checkpoint.json"
-    save_checkpoint(path, ModelConfig(**{**fields, key: value}), *init_params(ModelConfig(**shaped)),
-                    default_catalog().hash())
+    save_checkpoint(path, config, *init_params(config), default_catalog().hash())
+
+    def store_bad_value(members):
+        # a ModelConfig refuses the value, so it is written into the saved meta
+        meta = json.loads(members["meta.json"])
+        meta["config"][key] = value
+        members["meta.json"] = json.dumps(meta).encode()
+
+    _rewrite_members(path, store_bad_value)
     assert main(["--config", str(cfg), "predict", str(_belief_graph_file(tmp_path))]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: unreadable checkpoint {path}: stored config key {key} is {value!r}, not ")
@@ -365,8 +372,20 @@ def test_base_ont_checkpoint_holds_the_affinity_of_its_ontology(tmp_path):
     assert main(["--config", str(cfg), "train"]) == 0
     with np.load(tmp_path / "checkpoint.json", allow_pickle=False) as ckpt:
         stored = ckpt["stats/affinity"]
-    expected = class_affinity(load_ontology(csv)).matrix
+    expected = class_affinity(load_ontology(csv))
     assert stored.dtype == expected.dtype and stored.tobytes() == expected.tobytes()
+
+
+def test_variant_and_seed_flags_override_the_config(tmp_path):
+    cfg = _write_config(tmp_path, n_scenes=4, variant="base", seed=0)
+    assert main(["--config", str(cfg), "generate"]) == 0
+    assert main(["--config", str(cfg), "--variant", "base-ont", "--seed", "9", "train"]) == 0
+    path = tmp_path / "checkpoint.json"
+    config, _, _, _, _, extra = load_checkpoint(path)
+    assert config.variant == "base_ont"
+    assert extra["stamp"]["seed"] == 9
+    with np.load(path, allow_pickle=False) as ckpt:
+        assert "stats/affinity" in ckpt.files
 
 
 def test_eval_and_predict_of_base_ont_read_no_ontology(tmp_path, monkeypatch):
@@ -422,12 +441,12 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, key, value, messa
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("grid_size", 0, "config key grid_size is 0, not > 0"),
+        ("grid_size", 0, "config key grid_size is 0, not an int > 0"),
         ("n_scenes", -1, "config key n_scenes is -1, not > 0"),
         ("n_rooms", 0, "config key n_rooms is 0, not > 0"),
-        ("hidden", 0, "config key hidden is 0, not > 0"),
-        ("epochs", 0, "config key epochs is 0, not > 0"),
-        ("batch_size", 0, "config key batch_size is 0, not > 0"),
+        ("hidden", 0, "config key hidden is 0, not an int > 0"),
+        ("epochs", 0, "config key epochs is 0, not an int > 0"),
+        ("batch_size", 0, "config key batch_size is 0, not an int > 0"),
         ("removal_fraction", 1.5, "config key removal_fraction is 1.5, not in (0, 1)"),
         ("removal_fraction", 0, "config key removal_fraction is 0.0, not in (0, 1)"),
         ("blind_fraction", -1.0, "config key blind_fraction is -1.0, not in [0, 1]"),
@@ -917,7 +936,7 @@ def test_heatmap_pgm_scales_to_peak():
 def test_layout_ppm_golden_bytes():
     cells = np.full((2, 2), EMPTY, dtype=int)
     cells[1, 0] = 0  # x=1, y=0 -> bottom-right pixel
-    lg = LayoutGrid(cells, 2, (0.0, 0.0, 2.0, 2.0))
+    lg = LayoutGrid(cells, 2)
     body = layout_to_ppm(lg)
     assert body.startswith(b"P6\n2 2\n255\n")
     pixels = body[len(b"P6\n2 2\n255\n") :]

@@ -50,6 +50,13 @@ def test_threshold_is_inclusive():
     assert lg.cells[1, 1] == 0
 
 
+@pytest.mark.parametrize("threshold", [-0.25, float("nan"), float("inf")])
+def test_threshold_not_finite_and_non_negative_is_refused(threshold):
+    # a NaN threshold once emptied every cell, since nan < 0 is false
+    with pytest.raises(ValueError, match="threshold must be finite and non-negative"):
+        extract_layout(np.full((2, 4, 4), 1 / 16), threshold)
+
+
 def test_argmax_rescaling_invariance():
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -135,7 +142,7 @@ def test_placements_inside_frame():
     heat = rng.random((2, 8, 8))
     heat /= heat.sum(axis=(1, 2), keepdims=True)
     frame = (-3.0, 2.0, 5.0, 9.0)
-    lg = extract_layout(heat, default_threshold(8), frame)
+    lg = extract_layout(heat, default_threshold(8))
     for p in place_blind_nodes(heat, [(0, 4), (1, 4)], lg, frame):
         assert frame[0] <= p.xy[0] <= frame[2]
         assert frame[1] <= p.xy[1] <= frame[3]
@@ -145,7 +152,7 @@ def test_layout_json_round_trip():
     rng = np.random.default_rng(3)
     heat = rng.random((2, 5, 5))
     heat /= heat.sum(axis=(1, 2), keepdims=True)
-    lg = extract_layout(heat, 0.05, (0, 0, 5, 5))
+    lg = extract_layout(heat, 0.05)
     placements = place_blind_nodes(heat, [(0, 1), (1, 2)], lg, (0, 0, 5, 5))
     room_id, lg2, p2 = layout_from_dict(layout_to_dict(9, lg, placements), 2)
     assert room_id == 9
@@ -277,7 +284,7 @@ def test_place_blind_nodes_equals_loop_oracle(s):
         heat[0] = 0.0  # a class without support
         lo = rng.uniform(-50, 50, size=2)
         frame = (lo[0], lo[1], lo[0] + rng.uniform(0.1, 20), lo[1] + rng.uniform(0.1, 20))
-        lg = extract_layout(heat, default_threshold(s), frame)
+        lg = extract_layout(heat, default_threshold(s))
         blind = [(int(c), int(rng.integers(0, s * s + 3))) for c in rng.permutation(6)] + [(5, 0)]
         got = place_blind_nodes(heat, blind, lg, frame)
         want = loop_place_blind_nodes(heat, blind, lg, frame)

@@ -21,6 +21,7 @@ from scenecomp.graphs import (
     SceneNode,
     build_graph,
 )
+from scenecomp.model import TrainConfig
 
 from conftest import simple_graph
 
@@ -29,6 +30,22 @@ def _config(**kw):
     base = dict(variant="base", n_classes=3, grid_size=4, hidden=8, dropout=0.0)
     base.update(kw)
     return nn.ModelConfig(**base)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: nn.ModelConfig(variant="foo"), "config key variant is 'foo', not 'base' or 'base_ont'"),
+        (lambda: nn.ModelConfig(hidden=0), "config key hidden is 0, not an int > 0"),
+        (lambda: nn.ModelConfig(n_layers=2.0), "config key n_layers is 2.0, not an int > 0"),
+        (lambda: TrainConfig(lr=float("nan")), "config key lr is nan, not a finite number > 0"),
+        (lambda: TrainConfig(lr_decay=float("inf")), "config key lr_decay is inf, not a finite number >= 0"),
+    ],
+    ids=["variant-foo", "hidden-0", "n-layers-a-float", "lr-nan", "lr-decay-inf"],
+)
+def test_config_breaking_its_rule_is_refused(make, message):
+    with pytest.raises(ConfigMismatchError, match=re.escape(message)):
+        make()
 
 
 def test_adjacency_single_node(catalog):

@@ -80,13 +80,13 @@ def test_endpoint_config_from_file(tmp_path):
 
 def test_affinity_identity_like():
     o = Ontology(("r1", "r2", "r3"), ("a", "b", "c"), np.eye(3))
-    p = class_affinity(o).matrix
+    p = class_affinity(o)
     np.testing.assert_allclose(p, np.eye(3), atol=1e-5)
 
 
 def test_affinity_all_ones():
     o = Ontology(("r1", "r2"), ("a", "b", "c"), np.ones((2, 3)))
-    p = class_affinity(o).matrix
+    p = class_affinity(o)
     # K = 2 * ones(3x3) (+ eps I); rows are uniform
     np.testing.assert_allclose(p, np.full((3, 3), 1 / 3), atol=1e-6)
 
@@ -103,7 +103,7 @@ def test_affinity_ordering():
         ],
         dtype=float,
     )
-    p = class_affinity(Ontology(rooms, classes, omega)).matrix
+    p = class_affinity(Ontology(rooms, classes, omega))
     assert p[0, 1] > p[0, 2]
     k = omega.T @ omega
     assert np.allclose(k, k.T)
@@ -112,7 +112,7 @@ def test_affinity_ordering():
 
 def test_affinity_rows_stochastic():
     o = default_ontology()
-    p = class_affinity(o).matrix
+    p = class_affinity(o)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
 
