@@ -24,6 +24,8 @@ import numpy as np
 from . import __version__
 from .catalog import default_catalog
 from .dataset import (
+    DEFAULT_BLIND_FRACTION,
+    DEFAULT_REMOVAL_FRACTION,
     BsgSample,
     heatmaps_from_dict,
     heatmaps_to_dict,
@@ -50,7 +52,6 @@ from .layout import (
     place_blind_nodes,
 )
 from .model import (
-    BASE_ONT,
     CompositionModel,
     TrainConfig,
     evaluate_model,
@@ -58,7 +59,15 @@ from .model import (
     predict,
     train,
 )
-from .nn import CONFIG_RULES, ModelConfig, check_config, load_checkpoint, save_checkpoint
+from .nn import (
+    BASE,
+    BASE_ONT,
+    CONFIG_RULES,
+    ModelConfig,
+    check_config,
+    load_checkpoint,
+    save_checkpoint,
+)
 from .ontology import (
     EndpointConfig,
     class_affinity,
@@ -97,8 +106,8 @@ class RunConfig:
     seed: int = TrainConfig.seed
     n_scenes: int = 100
     n_rooms: int = 4
-    blind_fraction: float = 0.25
-    removal_fraction: float = 0.25
+    blind_fraction: float = DEFAULT_BLIND_FRACTION
+    removal_fraction: float = DEFAULT_REMOVAL_FRACTION
     hidden: int = ModelConfig.hidden
     dropout: float = ModelConfig.dropout
     epochs: int = TrainConfig.epochs
@@ -357,10 +366,6 @@ def cmd_predict(cfg: RunConfig, graph_path) -> None:
     doc = {
         "stamp": _stamp(cfg),
         "heatmaps": heatmaps_to_dict(predicted),
-        "counts": {
-            "room_ids": list(counts.room_ids),
-            "data": [[int(v) for v in row] for row in counts.data],
-        },
         "blind_counts": blind_counts,
     }
     out.write_text(json.dumps(doc), encoding="utf-8")
@@ -430,17 +435,15 @@ def cmd_ontology(cfg: RunConfig, action: str, endpoint_config) -> None:
             f"{bool(np.allclose(aff.sum(axis=1), 1.0))}"
         )
         return
-    if action == "build":
-        if not endpoint_config:
-            raise MissingArtifactError("ontology build needs --endpoint-config")
-        ep = EndpointConfig.from_file(_require(endpoint_config, "endpoint config"))
-        onto = query_llm_ontology(ep, default_ontology().room_concepts, default_catalog())
-        out = cfg.ontology_file or str(Path(cfg.output_dir) / "ontology.csv")
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        save_ontology(onto, out)
-        print(f"ontology written to {out}")
-        return
-    raise SceneCompError(f"unknown ontology action: {action}")
+    # build, the other action argparse admits
+    if not endpoint_config:
+        raise MissingArtifactError("ontology build needs --endpoint-config")
+    ep = EndpointConfig.from_file(_require(endpoint_config, "endpoint config"))
+    onto = query_llm_ontology(ep, default_ontology().room_concepts, default_catalog())
+    out = cfg.ontology_file or str(Path(cfg.output_dir) / "ontology.csv")
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
+    save_ontology(onto, out)
+    print(f"ontology written to {out}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--seed", type=int)
-    p.add_argument("--variant", choices=["base", "base-ont"])
+    p.add_argument("--variant", choices=[v.replace("_", "-") for v in (BASE, BASE_ONT)])
     p.add_argument("--threshold", type=float)
     p.add_argument("--out", help="output directory")
     sub = p.add_subparsers(dest="command", required=True)

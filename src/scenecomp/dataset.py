@@ -19,7 +19,6 @@ import numpy as np
 
 from .catalog import ClassCatalog, default_catalog
 from .errors import (
-    BadRatiosError,
     ConfigMismatchError,
     EmptyGraphError,
     NoTruthGraphError,
@@ -53,6 +52,12 @@ from .raster import (
 
 # Version 4 samples hold the augmented graph and the masked ids: nothing of S.
 FORMAT_VERSION = 4
+# the shares of a synthetic scene's objects that `augment` removes and that
+# `draw_masked` then masks as blind nodes
+DEFAULT_REMOVAL_FRACTION = 0.25
+DEFAULT_BLIND_FRACTION = 0.25
+# the train/val/test shares of `split_dataset`
+SPLIT_RATIOS = (0.8, 0.1, 0.1)
 
 
 def splitmix64(seed: int, index: int) -> int:
@@ -77,7 +82,7 @@ class BsgSample:
     truth: SceneGraph | None = None
 
 
-def draw_masked(g: SceneGraph, blind_fraction: float = 0.25, seed: int = 0) -> tuple[int, ...]:
+def draw_masked(g: SceneGraph, blind_fraction: float, seed: int = 0) -> tuple[int, ...]:
     """The sorted ids of a random subset of g's objects to mask as blind nodes.
 
     At least one instance is always drawn so the prediction target is
@@ -119,7 +124,7 @@ def build_sample(g: SceneGraph, masked_ids, grid_size: int = DEFAULT_GRID_SIZE) 
 
 def make_sample(
     g: SceneGraph,
-    blind_fraction: float = 0.25,
+    blind_fraction: float,
     grid_size: int = DEFAULT_GRID_SIZE,
     seed: int = 0,
 ) -> BsgSample:
@@ -381,14 +386,13 @@ def generate_synthetic_scene(
 # --- splits ---------------------------------------------------------------
 
 
-def split_dataset(samples, ratios=(0.8, 0.1, 0.1), seed: int = 0):
-    """Disjoint, exhaustive shuffle-split using largest-remainder rounding."""
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise BadRatiosError(f"ratios must be non-negative and sum to 1: {ratios}")
+def split_dataset(samples, seed: int = 0):
+    """Disjoint, exhaustive train/val/test shuffle-split in SPLIT_RATIOS,
+    using largest-remainder rounding."""
     idx = list(range(len(samples)))
     random.Random(seed).shuffle(idx)
     n = len(samples)
-    quotas = [r * n for r in ratios]
+    quotas = [r * n for r in SPLIT_RATIOS]
     counts = [math.floor(q) for q in quotas]
     remainders = [q - c for q, c in zip(quotas, counts)]
     for _ in range(n - sum(counts)):
@@ -407,8 +411,8 @@ def synthetic_dataset(
     seed: int,
     n_scenes: int,
     n_rooms: int,
-    removal_fraction: float = 0.25,
-    blind_fraction: float = 0.25,
+    removal_fraction: float = DEFAULT_REMOVAL_FRACTION,
+    blind_fraction: float = DEFAULT_BLIND_FRACTION,
 ):
     """The synthetic dataset of a master seed: (pairs, (train, val, test)).
 
@@ -516,15 +520,14 @@ def heatmaps_from_dict(d: dict) -> HeatmapSet:
             f"of {len(planes)} planes"
         )
     stored = np.frombuffer(raw, "<f8").reshape(len(planes), plane_size)
-    # HeatmapSet.validate's test on the stored planes alone: the others are zero
-    if np.any(stored < 0):
-        raise UnreadableInputError("heatmap entries must be non-negative")
-    sums = stored.sum(axis=1)
-    if not np.all(np.isclose(sums, 1.0, atol=1e-9) | (sums == 0.0)):
-        raise UnreadableInputError("each (room, class) grid must sum to 1 or be all zero")
     data = np.zeros(shape)
     data.reshape(n_planes, plane_size)[planes] = stored
-    return HeatmapSet(data, room_ids, grid_size, room_frames)
+    heat = HeatmapSet(data, room_ids, grid_size, room_frames)
+    try:
+        heat.validate()
+    except ValueError as e:
+        raise UnreadableInputError(str(e)) from e
+    return heat
 
 
 def sample_to_dict(s) -> dict:

@@ -46,10 +46,6 @@ class DegenerateRoomError(SceneCompError):
     pass
 
 
-class BadRatiosError(SceneCompError):
-    pass
-
-
 class NoTruthGraphError(SceneCompError):
     pass
 

@@ -182,7 +182,7 @@ def children_of(g: SceneGraph, room_id: int, layer: str | None = None) -> list[S
 
 def augment(
     g: SceneGraph,
-    removal_fraction: float = 0.25,
+    removal_fraction: float,
     seed: int = 0,
 ) -> SceneGraph:
     """Delete ceil(fraction * |objects|) object nodes uniformly at random.

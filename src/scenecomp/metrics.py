@@ -7,12 +7,11 @@ across grid resolutions. The convention is recorded in every report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import NotNormalizedError, ShapeMismatchError
-from .raster import HeatmapSet
 
 FLATTENING_CONVENTION = "row-major-1d-unit-support"
 NORMALIZATION_ATOL = 1e-6
@@ -86,13 +85,7 @@ class Moments:
     kurtosis: float | None = None  # excess kurtosis
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "variance": self.variance,
-            "skewness": self.skewness,
-            "kurtosis": self.kurtosis,
-        }
+        return asdict(self)
 
 
 def four_moments(samples) -> Moments:
@@ -174,13 +167,9 @@ def _collect(pairs):
     return tuple(np.concatenate(v) for v in (w_vals, e_vals, f_vals))
 
 
-def evaluate(pred: HeatmapSet, truth: HeatmapSet, provenance: dict | None = None) -> MetricsReport:
-    """Distances per (room, present class), Frobenius per room, four moments each."""
-    return evaluate_many([(pred, truth)], provenance)
-
-
 def evaluate_many(pairs, provenance: dict | None = None) -> MetricsReport:
-    """Pool the populations of several (pred, truth) heatmap-set pairs."""
+    """Distances per (room, present class) and Frobenius per room, four
+    moments each, pooled over several (pred, truth) heatmap-set pairs."""
     w_vals, e_vals, f_vals = _collect(pairs)
     return MetricsReport(
         four_moments(w_vals), four_moments(e_vals), four_moments(f_vals), provenance

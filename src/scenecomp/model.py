@@ -35,8 +35,7 @@ from .raster import HeatmapSet
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-BASE = "base"
-BASE_ONT = "base_ont"
+BASE, BASE_ONT = nn.BASE, nn.BASE_ONT
 
 
 @dataclass

@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .catalog import DEFAULT_LABELS
 from .errors import (
     ConfigMismatchError,
     NonFiniteError,
@@ -55,11 +56,16 @@ from .errors import (
     is_json_number,
 )
 from .graphs import SceneGraph
+from .raster import DEFAULT_GRID_SIZE
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
 BN_EPS = 1e-5
+
+# the two model variants: without and with the ontology's class affinity
+BASE = "base"
+BASE_ONT = "base_ont"
 
 # every rule on a field of ModelConfig or scenecomp.model.TrainConfig, the
 # two of which check themselves on construction: key -> (test, what the
@@ -67,7 +73,8 @@ BN_EPS = 1e-5
 CONFIG_RULES = {
     **{key: (lambda v: is_json_int(v) and v > 0, "an int > 0")
        for key in ("n_classes", "grid_size", "hidden", "n_layers", "epochs", "batch_size")},
-    "variant": (lambda v: v in ("base", "base_ont"), "'base' or 'base_ont'"),
+    "seed": (lambda v: is_json_int(v) and v >= 0, "an int >= 0"),
+    "variant": (lambda v: v in (BASE, BASE_ONT), f"{BASE!r} or {BASE_ONT!r}"),
     "dropout": (lambda v: is_json_number(v) and 0 <= v < 1, "in [0, 1)"),
     "bn_momentum": (lambda v: is_json_number(v) and 0 <= v <= 1, "in [0, 1]"),
     "linear_only": (lambda v: isinstance(v, bool), "a bool"),
@@ -87,9 +94,9 @@ def check_config(values: dict, rules: dict = CONFIG_RULES) -> None:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    variant: str = "base"  # "base" | "base_ont"
-    n_classes: int = 35
-    grid_size: int = 32
+    variant: str = BASE
+    n_classes: int = len(DEFAULT_LABELS)
+    grid_size: int = DEFAULT_GRID_SIZE
     hidden: int = 256
     n_layers: int = 5
     dropout: float = 0.2
@@ -102,7 +109,7 @@ class ModelConfig:
     @property
     def input_width(self) -> int:
         block = self.n_classes * self.grid_size ** 2
-        ont = block if self.variant == "base_ont" else 0
+        ont = block if self.variant == BASE_ONT else 0
         return block + ont + self.n_classes
 
     @property
@@ -137,7 +144,7 @@ def param_shapes(config: ModelConfig):
             stats[f"mean{l}"] = stats[f"var{l}"] = (d_out,)
         else:
             params[f"b{l}"] = (d_out,)
-    if config.variant == "base_ont":  # the class affinity its inputs are mixed with
+    if config.variant == BASE_ONT:  # the class affinity its inputs are mixed with
         stats["affinity"] = (config.n_classes, config.n_classes)
     return params, stats
 
@@ -344,6 +351,10 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
 # time, so that a block's slices of m, v, p, g and the work arrays stay in
 # L2 cache between passes.
 ADAM_BLOCK = 32768
+# Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -362,19 +373,11 @@ def _flat(a: np.ndarray, what: str) -> np.ndarray:
     return a.reshape(-1)
 
 
-def adam_step(
-    params: dict,
-    grads: dict,
-    state: AdamState,
-    lr: float = 1e-5,
-    decay: float = 1e-8,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float, decay: float) -> None:
     """In-place Adam update; effective lr decays as lr / (1 + decay * t).
 
-    Evaluates, operation by operation and in the same order,
+    Evaluates, operation by operation and in the same order, with beta1,
+    beta2 and eps the ADAM_BETA1, ADAM_BETA2 and ADAM_EPS constants,
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * g * g
         p -= lr_t * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
@@ -397,18 +400,18 @@ def adam_step(
         for lo in range(0, g.size, ADAM_BLOCK):
             m, v, p, gb = (a[lo : lo + ADAM_BLOCK] for a in flat)
             s1, s2 = (s[: gb.size] for s in state.scratch)
-            np.multiply(m, beta1, out=m)
-            np.multiply(gb, 1 - beta1, out=s1)
+            np.multiply(m, ADAM_BETA1, out=m)
+            np.multiply(gb, 1 - ADAM_BETA1, out=s1)
             np.add(m, s1, out=m)
-            np.multiply(v, beta2, out=v)
-            np.multiply(gb, 1 - beta2, out=s1)
+            np.multiply(v, ADAM_BETA2, out=v)
+            np.multiply(gb, 1 - ADAM_BETA2, out=s1)
             np.multiply(s1, gb, out=s1)
             np.add(v, s1, out=v)
-            np.divide(m, 1 - beta1 ** t, out=s1)
+            np.divide(m, 1 - ADAM_BETA1 ** t, out=s1)
             np.multiply(s1, lr_t, out=s1)
-            np.divide(v, 1 - beta2 ** t, out=s2)
+            np.divide(v, 1 - ADAM_BETA2 ** t, out=s2)
             np.sqrt(s2, out=s2)
-            np.add(s2, eps, out=s2)
+            np.add(s2, ADAM_EPS, out=s2)
             np.divide(s1, s2, out=s1)
             np.subtract(p, s1, out=p)
 

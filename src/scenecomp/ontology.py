@@ -147,10 +147,15 @@ class EndpointConfig:
 
     @staticmethod
     def from_file(path) -> "EndpointConfig":
-        """The config in the JSON file at path; a key of another type, or a prompt_template
-        that does not format room and classes, raises UnreadableInputError naming the file."""
+        """The config in the JSON file at path; a key it does not know, a key of another
+        type, or a prompt_template that does not format room and classes, raises
+        UnreadableInputError naming the file."""
         d = read_json_object(path)
-        v = {f.name: d.get(f.name, f.default) for f in fields(EndpointConfig)}
+        known = fields(EndpointConfig)
+        unknown = sorted(set(d) - {f.name for f in known})
+        if unknown:
+            raise UnreadableInputError(f"endpoint config {path}: unknown keys {unknown}")
+        v = {f.name: d.get(f.name, f.default) for f in known}
         for key, ok, what in (
             ("base_url", isinstance(v["base_url"], str), "a string"),
             ("model", isinstance(v["model"], str), "a string"),
@@ -168,10 +173,6 @@ class EndpointConfig:
                 f"endpoint config {path}: prompt_template does not format with room and classes: {e!r}"
             ) from e
         return EndpointConfig(**{**v, "temperature": float(v["temperature"])})
-
-
-def cache_dir_from_env(default="ontology_cache") -> Path:
-    return Path(os.environ.get("CECI_CACHE_DIR", default))
 
 
 def _cache_path(cache_dir: Path, prompt: str) -> Path:
@@ -248,9 +249,12 @@ def query_llm_ontology(
     """One query per room concept; raw responses cached for offline replay.
 
     On a cache hit the network is never consulted, so a populated cache
-    directory makes this fully deterministic.
+    directory makes this fully deterministic. The cache directory is
+    cache_dir if given, else $CECI_CACHE_DIR, else ./ontology_cache.
     """
-    cache_dir = Path(cache_dir) if cache_dir is not None else cache_dir_from_env()
+    if cache_dir is None:
+        cache_dir = os.environ.get("CECI_CACHE_DIR", "ontology_cache")
+    cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     classes = tuple(catalog.labels)
     omega = np.zeros((len(room_concepts), len(classes)))

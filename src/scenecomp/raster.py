@@ -26,6 +26,8 @@ from .graphs import OBJECT, SceneGraph, SceneNode, children_of, rooms_of
 from .errors import DegenerateRoomError
 
 DEFAULT_GRID_SIZE = 32
+# how far from 1 the sum of a present class's plane may lie
+SUM_ATOL = 1e-9
 
 Frame = tuple[float, float, float, float]  # (min_x, min_y, max_x, max_y)
 
@@ -43,13 +45,13 @@ class HeatmapSet:
     grid_size: int
     room_frames: tuple[Frame, ...]
 
-    def validate(self, atol: float = 1e-9) -> None:
+    def validate(self) -> None:
         if self.data.ndim != 4:
             raise ValueError("heatmap data must be rank 4")
         if np.any(self.data < 0):
             raise ValueError("heatmap entries must be non-negative")
         sums = self.data.sum(axis=(2, 3))
-        bad = ~(np.isclose(sums, 1.0, atol=atol) | (sums == 0.0))
+        bad = ~(np.isclose(sums, 1.0, atol=SUM_ATOL) | (sums == 0.0))
         if np.any(bad):
             raise ValueError("each (room, class) grid must sum to 1 or be all zero")
 

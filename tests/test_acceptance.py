@@ -117,7 +117,7 @@ def test_acceptance_4_prediction_normalization(small_catalog, toy_template):
         g = generate_synthetic_scene((toy_template,), 2, seed, small_catalog)
         sample = make_sample(g, 0.25, 8, seed)
         out = predict(model, sample)
-        out.validate(atol=1e-9)
+        out.validate()
         sums = out.data.sum(axis=(2, 3))
         absent = sample.counts.data == 0
         assert np.all(sums[absent] == 0.0)

@@ -35,7 +35,15 @@ from scenecomp.graphs import (
 )
 from scenecomp.layout import EMPTY, LayoutGrid, Placement, extract_layout, layout_to_dict
 from scenecomp.nn import ModelConfig, init_params, load_checkpoint, save_checkpoint
-from scenecomp.ontology import Ontology, class_affinity, default_ontology, load_ontology, save_ontology
+from scenecomp.ontology import (
+    DEFAULT_PROMPT_TEMPLATE,
+    Ontology,
+    _cache_path,
+    class_affinity,
+    default_ontology,
+    load_ontology,
+    save_ontology,
+)
 from scenecomp.raster import HeatmapSet, rasterize
 from scenecomp.render import heatmap_to_pgm, layout_to_ppm
 
@@ -98,7 +106,7 @@ def test_full_pipeline_round_trip(tmp_path):
     graph = _belief_graph_file(tmp_path)
     assert main(["--config", str(cfg), "predict", str(graph)]) == 0
     pred = tmp_path / "out" / "prediction.json"
-    assert pred.exists()
+    assert set(json.loads(pred.read_text())) == {"stamp", "heatmaps", "blind_counts"}
 
     assert main(["--config", str(cfg), "layout", str(pred)]) == 0
     layout = tmp_path / "out" / "layout.json"
@@ -192,6 +200,8 @@ def test_missing_artifacts_fail_cleanly(tmp_path, capsys):
     assert main(["--config", str(cfg), "eval"]) == 1
     assert main(["--config", str(cfg), "predict", str(tmp_path / "nope.json")]) == 1
     assert "not found" in capsys.readouterr().err
+    assert main(["--config", str(cfg), "layout", str(tmp_path / "no-such-prediction.json")]) == 1
+    assert "prediction file not found" in capsys.readouterr().err
 
 
 def test_predict_rejects_wrong_shape_checkpoint(tmp_path, capsys):
@@ -461,6 +471,8 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, key, value, messa
         ("--threshold", "-1", "config key threshold is -1.0, not a finite number >= 0"),
         ("--threshold", "nan", "config key threshold is nan, not a finite number >= 0"),
         ("variant", "foo", "config key variant is 'foo', not 'base' or 'base_ont'"),
+        ("seed", -1, "config key seed is -1, not an int >= 0"),
+        ("--seed", "-1", "config key seed is -1, not an int >= 0"),
     ],
 )
 def test_config_value_out_of_range_rejected(tmp_path, capsys, key, value, message):
@@ -862,6 +874,32 @@ def test_ontology_build_requires_endpoint(capsys):
     assert "endpoint-config" in capsys.readouterr().err
 
 
+def test_ontology_build_from_cached_responses(tmp_path, capsys, monkeypatch):
+    # with a response cached for every room concept, build asks no endpoint
+    def no_request(*args):
+        raise AssertionError("the endpoint was called")
+
+    monkeypatch.setattr("scenecomp.ontology._call_endpoint", no_request)
+    catalog, rooms = default_catalog(), default_ontology().room_concepts
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("CECI_CACHE_DIR", str(cache))
+    marked = np.random.default_rng(0).random((len(rooms), catalog.n)) < 0.3
+    for room, row in zip(rooms, marked):
+        prompt = DEFAULT_PROMPT_TEMPLATE.format(room=room, classes=", ".join(catalog.labels))
+        response = ", ".join(c for c, on in zip(catalog.labels, row) if on)
+        _cache_path(cache, prompt).write_text(json.dumps({"prompt": prompt, "response": response}))
+    endpoint = tmp_path / "endpoint.json"
+    endpoint.write_text(json.dumps({"base_url": "http://127.0.0.1:9/v1", "model": "m"}))
+    cfg = _write_config(tmp_path)
+    assert main(["--config", str(cfg), "ontology", "build", "--endpoint-config", str(endpoint)]) == 0
+    out = tmp_path / "out" / "ontology.csv"
+    assert capsys.readouterr().out == f"ontology written to {out}\n"
+    onto = load_ontology(out, catalog)
+    assert onto.room_concepts == rooms
+    assert np.array_equal(onto.biadjacency, marked.astype(float))
+
+
 # an ontology CSV -> the start of the error that `ontology validate` gives
 MALFORMED_ONTOLOGIES = {
     "ragged-row": (b"room_concept,a,b\nr1,1,0\nr2,1\n", "ontology CSV {path}, line 3: room concept 'r2' needs"),
@@ -897,6 +935,8 @@ MALFORMED_ENDPOINTS = {
     "api-key-a-number": (_with("api_key", 5), "api_key must be a string or null"),
     "template-of-unknown-field": (_with("prompt_template", "{foo} {room}"), "prompt_template does not format"),
     "template-unclosed": (_with("prompt_template", "in a {room"), "prompt_template does not format"),
+    "unknown-keys": (lambda d: {**d, "temprature": 0.7, "max_retry": 9},
+                     "unknown keys ['max_retry', 'temprature']"),
 }
 
 

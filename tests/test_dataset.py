@@ -26,7 +26,6 @@ from scenecomp.dataset import (
     template_by_name,
 )
 from scenecomp.errors import (
-    BadRatiosError,
     ConfigMismatchError,
     EmptyDatasetError,
     EmptyGraphError,
@@ -160,11 +159,6 @@ def test_split_sizes():
     train, val, test = split_dataset(list(range(3)), seed=0)
     assert (len(train), len(val), len(test)) == (3, 0, 0)
     assert sorted(train + val + test) == [0, 1, 2]
-
-
-def test_split_bad_ratios():
-    with pytest.raises(BadRatiosError):
-        split_dataset([1, 2, 3], ratios=(0.5, 0.5, 0.5))
 
 
 def test_split_deterministic():

@@ -13,7 +13,6 @@ from scenecomp.metrics import (
     MetricsReport,
     _collect,
     energy_grid,
-    evaluate,
     evaluate_many,
     four_moments,
     frobenius_diff,
@@ -276,7 +275,7 @@ def test_evaluate_perfect_prediction():
     data[0, 0] = _rand_dist(rng, 4)
     data[1, 2] = _rand_dist(rng, 4)
     truth = _heatmap_set(data)
-    report = evaluate(truth, truth)
+    report = evaluate_many([(truth, truth)])
     assert report.wasserstein.mean == 0.0
     assert report.energy.mean == 0.0
     assert report.frobenius.mean == 0.0
@@ -294,7 +293,7 @@ def test_evaluate_hand_assembled():
     pred_data[0, 1] = _rand_dist(rng, 4)
     pred = _heatmap_set(pred_data, room_ids=(7,))
     truth = _heatmap_set(truth_data, room_ids=(7,))
-    report = evaluate(pred, truth)
+    report = evaluate_many([(pred, truth)])
     w_vals = [wasserstein_oracle(pred_data[0, c], truth_data[0, c]) for c in range(2)]
     e_vals = [energy_oracle(pred_data[0, c], truth_data[0, c]) for c in range(2)]
     f_val = math.sqrt(float(((pred_data[0] - truth_data[0]) ** 2).sum()))
@@ -308,9 +307,9 @@ def test_metrics_invariant_under_class_permutation():
     truth_data = np.stack([[_rand_dist(rng, 4) for _ in range(3)]])
     pred_data = np.stack([[_rand_dist(rng, 4) for _ in range(3)]])
     perm = [2, 0, 1]
-    r1 = evaluate(_heatmap_set(pred_data, (1,)), _heatmap_set(truth_data, (1,)))
-    r2 = evaluate(
-        _heatmap_set(pred_data[:, perm], (1,)), _heatmap_set(truth_data[:, perm], (1,))
+    r1 = evaluate_many([(_heatmap_set(pred_data, (1,)), _heatmap_set(truth_data, (1,)))])
+    r2 = evaluate_many(
+        [(_heatmap_set(pred_data[:, perm], (1,)), _heatmap_set(truth_data[:, perm], (1,)))]
     )
     assert r1.wasserstein.mean == pytest.approx(r2.wasserstein.mean, abs=1e-12)
     assert r1.energy.mean == pytest.approx(r2.energy.mean, abs=1e-12)
@@ -367,7 +366,7 @@ def test_collect_bitwise_equals_loop(grid):
     for k, got in enumerate(_collect(pairs)):
         _assert_same_values(got, [v for vals in ref for v in vals[k]])
     assert evaluate_many(pairs, {"k": 1}) == loop_evaluate_many(pairs, {"k": 1})
-    assert evaluate(*pairs[0]) == loop_evaluate_many(pairs[:1])
+    assert evaluate_many(pairs[:1]) == loop_evaluate_many(pairs[:1])
 
 
 def test_collect_pools_grid_sizes_as_loop():

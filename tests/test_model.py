@@ -146,7 +146,7 @@ def test_predict_satisfies_heatmap_invariants(catalog):
     s = _sample(catalog)
     m = _model(catalog)
     out = predict(m, s)
-    out.validate(atol=1e-9)
+    out.validate()
     # count gating: absent classes are exactly zero
     absent = s.counts.data == 0
     sums = out.data.sum(axis=(2, 3))

@@ -40,8 +40,9 @@ def _config(**kw):
         (lambda: nn.ModelConfig(n_layers=2.0), "config key n_layers is 2.0, not an int > 0"),
         (lambda: TrainConfig(lr=float("nan")), "config key lr is nan, not a finite number > 0"),
         (lambda: TrainConfig(lr_decay=float("inf")), "config key lr_decay is inf, not a finite number >= 0"),
+        (lambda: TrainConfig(seed=-1), "config key seed is -1, not an int >= 0"),
     ],
-    ids=["variant-foo", "hidden-0", "n-layers-a-float", "lr-nan", "lr-decay-inf"],
+    ids=["variant-foo", "hidden-0", "n-layers-a-float", "lr-nan", "lr-decay-inf", "seed-negative"],
 )
 def test_config_breaking_its_rule_is_refused(make, message):
     with pytest.raises(ConfigMismatchError, match=re.escape(message)):
@@ -174,7 +175,7 @@ def test_adam_zero_gradient():
     params = {"w": start.copy()}
     state = nn.AdamState()
     for _ in range(5):
-        nn.adam_step(params, {"w": np.zeros(4)}, state, lr=0.1)
+        nn.adam_step(params, {"w": np.zeros(4)}, state, lr=0.1, decay=1e-8)
         assert params["w"].tobytes() == start.tobytes()
         for moment in (state.m["w"], state.v["w"]):
             assert np.all(moment == 0.0) and not np.any(np.signbit(moment))
@@ -186,10 +187,10 @@ def test_adam_once_touched_entry_keeps_moving():
     # never touched may be left out of a step
     params = {"w": np.array([1.0])}
     state = nn.AdamState()
-    nn.adam_step(params, {"w": np.array([0.5])}, state, lr=0.1)
+    nn.adam_step(params, {"w": np.array([0.5])}, state, lr=0.1, decay=1e-8)
     for _ in range(5):
         before = params["w"][0]
-        nn.adam_step(params, {"w": np.zeros(1)}, state, lr=0.1)
+        nn.adam_step(params, {"w": np.zeros(1)}, state, lr=0.1, decay=1e-8)
         assert params["w"][0] < before
         assert state.m["w"][0] > 0.0 and state.v["w"][0] > 0.0
 
@@ -285,7 +286,7 @@ def _stepped_checkpoint(tmp_path, seed=16):
     cfg = _config()
     params, stats = nn.init_params(cfg, seed=seed)
     grads = {k: np.ones_like(v) for k, v in params.items()}
-    nn.adam_step(params, grads, nn.AdamState())
+    nn.adam_step(params, grads, nn.AdamState(), lr=1e-5, decay=1e-8)
     path = tmp_path / "ckpt.json"
     nn.save_checkpoint(path, cfg, params, stats, "hash123", extra={"note": 1})
     return path, cfg, params, stats

@@ -546,7 +546,7 @@ def test_adam_refuses_arrays_it_cannot_flatten_in_place(which):
     grads = {"w0": np.ones((4, 3))}
     {"param": params, "grad": grads}[which]["w0"] = np.ones((4, 3), order="F")
     with pytest.raises(ShapeMismatchError, match=f"{which} w0 is not"):
-        nn.adam_step(params, grads, AdamState())
+        nn.adam_step(params, grads, AdamState(), lr=1e-5, decay=1e-8)
 
 
 def _scenes(n=6, n_rooms=3):

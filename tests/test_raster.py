@@ -134,7 +134,7 @@ def test_fully_outside_object_uniform(catalog):
 def test_normalization_invariant(catalog):
     g = simple_graph(catalog, (5, 3))
     heat, counts = rasterize(g, grid_size=16)
-    heat.validate(atol=1e-9)
+    heat.validate()
     present = counts.data > 0
     sums = heat.data.sum(axis=(2, 3))
     assert np.all(np.abs(sums[present] - 1.0) < 1e-9)
